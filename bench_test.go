@@ -249,8 +249,8 @@ func BenchmarkEnduranceExtension(b *testing.B) {
 }
 
 // benchMatrix measures the wall-clock of the full paper matrix at a given
-// worker-pool size — the BENCH_runner.json speedup comparison. Workers=1
-// is the serial baseline; workers=0 uses GOMAXPROCS.
+// worker-pool size. Workers=1 is the serial baseline; workers=0 uses
+// GOMAXPROCS.
 func benchMatrix(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		m, err := experiments.RunMatrixContext(context.Background(), 1, 1, workers)

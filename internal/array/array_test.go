@@ -164,6 +164,24 @@ func TestRoutersLockstep(t *testing.T) {
 	}
 }
 
+// A 1-volume router still consumes one draw per Route under the
+// stochastic policies, so its stream use does not depend on the width.
+func TestSingleVolumeRouterDrawsOnce(t *testing.T) {
+	for _, p := range []Policy{Uniform, Zipf} {
+		rt := NewRouter(5, 1, p, 0)
+		ref := sim.NewRNG(5, "array:router")
+		for i := 0; i < 100; i++ {
+			if v := rt.Route(workload.Request{}); v != 0 {
+				t.Fatalf("%v: 1-volume router returned volume %d", p, v)
+			}
+			ref.Float64()
+		}
+		if got, want := rt.rng.Int63n(1<<40), ref.Int63n(1<<40); got != want {
+			t.Errorf("%v: router stream is off the one-draw-per-Route position", p)
+		}
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for in, want := range map[string]Policy{
 		"": Uniform, "uniform": Uniform, " Hash ": Hash, "zipf": Zipf, "ZIPF": Zipf,

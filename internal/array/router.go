@@ -45,7 +45,6 @@ package array
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"lbica/internal/sim"
@@ -104,7 +103,7 @@ type Router struct {
 	n      int
 	policy Policy
 	rng    *sim.RNG
-	cdf    []float64 // Zipf volume-popularity CDF
+	zipf   *sim.Zipfian // Zipf volume-popularity sampler over rng
 }
 
 // NewRouter builds a router over n volumes. skew is the Zipf exponent of
@@ -120,15 +119,7 @@ func NewRouter(seed int64, n int, policy Policy, skew float64) *Router {
 		r.rng = sim.NewRNG(seed, "array:router")
 	}
 	if policy == Zipf {
-		r.cdf = make([]float64, n)
-		sum := 0.0
-		for v := 0; v < n; v++ {
-			sum += 1 / math.Pow(float64(v+1), skew)
-			r.cdf[v] = sum
-		}
-		for v := range r.cdf {
-			r.cdf[v] /= sum
-		}
+		r.zipf = sim.NewZipf(r.rng, n, skew)
 	}
 	return r
 }
@@ -140,18 +131,6 @@ func (r *Router) Volumes() int { return r.n }
 // consumes exactly one RNG draw per call, whatever the outcome — the
 // lockstep contract sibling routers rely on.
 func (r *Router) Route(req workload.Request) int {
-	if r.n == 1 {
-		// Still consume the draw: a 1-volume router must stay in lockstep
-		// with nothing, but skipping the draw would make Route's RNG
-		// consumption depend on n, complicating reasoning for no gain.
-		switch r.policy {
-		case Uniform:
-			r.rng.Intn(1)
-		case Zipf:
-			r.rng.Float64()
-		}
-		return 0
-	}
 	switch r.policy {
 	case Hash:
 		// Requests are assigned by their starting 4 KiB block — the same
@@ -159,17 +138,7 @@ func (r *Router) Route(req workload.Request) int {
 		// HotBlocks block number and on a request agree.
 		return r.RouteBlock(req.Extent.LBA / workload.BlockSectors)
 	case Zipf:
-		u := r.rng.Float64()
-		lo, hi := 0, r.n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if r.cdf[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
+		return r.zipf.Next()
 	default:
 		return r.rng.Intn(r.n)
 	}
@@ -178,12 +147,15 @@ func (r *Router) Route(req workload.Request) int {
 // Clone deep-copies the router mid-stream: the copy's RNG resumes at the
 // original's exact draw position, so the clone keeps making the same
 // decisions the original would have — the property an array fork needs to
-// stay byte-identical to a from-scratch run. The Zipf CDF is immutable
-// after construction and is shared.
+// stay byte-identical to a from-scratch run. The Zipf sampler is
+// re-bound to the cloned stream; its rank table is immutable and shared.
 func (r *Router) Clone() *Router {
 	r2 := *r
 	if r.rng != nil {
 		r2.rng = r.rng.Clone()
+	}
+	if r.zipf != nil {
+		r2.zipf = r.zipf.WithRNG(r2.rng)
 	}
 	return &r2
 }

@@ -42,28 +42,30 @@ func (c *chain) EncodeCkpt(e *ckpt.Encoder) {
 }
 
 // encodeHash writes an elevator hash as sorted (boundary key, node list
-// position) pairs. The maps cannot be rebuilt from the node list alone:
+// position) pairs. The hashes cannot be rebuilt from the node list alone:
 // an entry overwritten by a later arrival and then vacated stays absent
 // even though a queued node carries that boundary, and merge-candidate
 // lookups observe the difference.
-func encodeHash(enc *ckpt.Encoder, h map[int64]*node, pos map[*node]int) {
-	keys := make([]int64, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
+func encodeHash(enc *ckpt.Encoder, h *mergeIndex, pos map[*node]int) {
+	type entry struct {
+		k int64
+		n *node
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	enc.U32(uint32(len(keys)))
-	for _, k := range keys {
-		enc.I64(k)
-		enc.Int(pos[h[k]])
+	entries := make([]entry, 0, h.count)
+	h.each(func(k int64, n *node) { entries = append(entries, entry{k, n}) })
+	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
+	enc.U32(uint32(len(entries)))
+	for _, e := range entries {
+		enc.I64(e.k)
+		enc.Int(pos[e.n])
 	}
 }
 
 // decodeHash reads a hash written by encodeHash against the decoded node
 // list.
-func decodeHash(d *ckpt.Decoder, nodes []*node) map[int64]*node {
+func decodeHash(d *ckpt.Decoder, nodes []*node) mergeIndex {
+	var h mergeIndex
 	n := d.Count(16)
-	h := make(map[int64]*node, n)
 	for i := 0; i < n; i++ {
 		k := d.I64()
 		p := d.Int()
@@ -74,7 +76,7 @@ func decodeHash(d *ckpt.Decoder, nodes []*node) map[int64]*node {
 			d.Failf("hash entry %d references node position %d (queue depth %d)", i, p, len(nodes))
 			return h
 		}
-		h[k] = nodes[p]
+		h.set(k, nodes[p])
 	}
 	return h
 }
@@ -99,8 +101,8 @@ func (q *Queue) EncodeState(enc *ckpt.Encoder) {
 	for _, c := range q.census {
 		enc.Int(c)
 	}
-	encodeHash(enc, q.backHash, pos)
-	encodeHash(enc, q.frontHash, pos)
+	encodeHash(enc, &q.backHash, pos)
+	encodeHash(enc, &q.frontHash, pos)
 	enc.I64(q.maxMergeSectors)
 	enc.U8(uint8(q.discipline))
 	enc.I64(q.headPos)

@@ -85,10 +85,10 @@ type Queue struct {
 	census block.Census
 
 	// Elevator hashes: boundary sector → most recent queued node with that
-	// boundary, per origin. backHash keys on Extent.End() (back-merge
-	// candidates); frontHash keys on Extent.LBA (front-merge candidates).
-	backHash  map[int64]*node
-	frontHash map[int64]*node
+	// boundary. backHash keys on Extent.End() (back-merge candidates);
+	// frontHash keys on Extent.LBA (front-merge candidates).
+	backHash  mergeIndex
+	frontHash mergeIndex
 
 	// maxMergeSectors caps a merged request's size, mirroring the block
 	// layer's max_sectors_kb. 0 disables merging.
@@ -144,8 +144,6 @@ const DefaultMaxMergeSectors = 1024
 func New(name string, opts ...Option) *Queue {
 	q := &Queue{
 		name:            name,
-		backHash:        make(map[int64]*node),
-		frontHash:       make(map[int64]*node),
 		maxMergeSectors: DefaultMaxMergeSectors,
 		sweepUp:         true,
 	}
@@ -200,12 +198,12 @@ func (q *Queue) Push(r *block.Request, now time.Duration) (merged bool) {
 	q.arrivals[r.Origin]++
 	r.Submit = now
 	if q.maxMergeSectors > 0 {
-		if n, ok := q.backHash[r.Extent.LBA]; ok && q.canMerge(n.req, r) {
-			q.absorb(n, r, true)
+		if n := q.backHash.get(r.Extent.LBA); n != nil && q.canMerge(n.req, r) {
+			q.absorb(n, r)
 			return true
 		}
-		if n, ok := q.frontHash[r.Extent.End()]; ok && q.canMerge(n.req, r) {
-			q.absorb(n, r, false)
+		if n := q.frontHash.get(r.Extent.End()); n != nil && q.canMerge(n.req, r) {
+			q.absorb(n, r)
 			return true
 		}
 	}
@@ -241,8 +239,8 @@ func (q *Queue) canMerge(a, b *block.Request) bool {
 	return a.Extent.Sectors+b.Extent.Sectors <= q.maxMergeSectors
 }
 
-// absorb folds r into queued node n. back=true means r extends n's end.
-func (q *Queue) absorb(n *node, r *block.Request, back bool) {
+// absorb folds r into queued node n, at either end.
+func (q *Queue) absorb(n *node, r *block.Request) {
 	q.merges++
 	q.unindex(n)
 	n.req.Extent = n.req.Extent.Union(r.Extent)
@@ -254,7 +252,6 @@ func (q *Queue) absorb(n *node, r *block.Request, back bool) {
 	c.absorbed = r
 	n.req.OnComplete = c
 	q.index(n)
-	_ = back
 }
 
 // getChain pops a pooled merge-chain link, allocating on pool miss.
@@ -289,17 +286,13 @@ func (q *Queue) putNode(n *node) {
 }
 
 func (q *Queue) index(n *node) {
-	q.backHash[n.req.Extent.End()] = n
-	q.frontHash[n.req.Extent.LBA] = n
+	q.backHash.set(n.req.Extent.End(), n)
+	q.frontHash.set(n.req.Extent.LBA, n)
 }
 
 func (q *Queue) unindex(n *node) {
-	if q.backHash[n.req.Extent.End()] == n {
-		delete(q.backHash, n.req.Extent.End())
-	}
-	if q.frontHash[n.req.Extent.LBA] == n {
-		delete(q.frontHash, n.req.Extent.LBA)
-	}
+	q.backHash.deleteIf(n.req.Extent.End(), n)
+	q.frontHash.deleteIf(n.req.Extent.LBA, n)
 }
 
 // Pop removes and returns the next request per the dispatch discipline,
@@ -430,10 +423,10 @@ func EstimatedWait(pos int, svc time.Duration) time.Duration {
 
 // Clone returns a deep copy of the queue for a stack fork: counters,
 // census and discipline state copied, every pending request cloned
-// through cl in list order, and the elevator hashes rebuilt against the
+// through cl in list order, and the elevator hashes copied against the
 // cloned nodes — so the clone's merge candidates and overwrite history
 // match the original's exactly (every hash value always references a
-// currently-queued node, which is what makes the map copy sufficient).
+// currently-queued node, which is what makes the index copy sufficient).
 // The node/chain pools start empty (pooled objects are fully reset on
 // reuse, so pool population is invisible to behavior) and the recycle
 // hook is not copied: the forked stack re-registers its own.
@@ -442,8 +435,6 @@ func (q *Queue) Clone(cl block.Cloner) *Queue {
 		name:            q.name,
 		size:            q.size,
 		census:          q.census,
-		backHash:        make(map[int64]*node, len(q.backHash)),
-		frontHash:       make(map[int64]*node, len(q.frontHash)),
 		maxMergeSectors: q.maxMergeSectors,
 		discipline:      q.discipline,
 		headPos:         q.headPos,
@@ -470,11 +461,7 @@ func (q *Queue) Clone(cl block.Cloner) *Queue {
 			q2.tail = n2
 		}
 	}
-	for k, n := range q.backHash {
-		q2.backHash[k] = nodes[n]
-	}
-	for k, n := range q.frontHash {
-		q2.frontHash[k] = nodes[n]
-	}
+	q2.backHash = q.backHash.clone(nodes)
+	q2.frontHash = q.frontHash.clone(nodes)
 	return q2
 }

@@ -59,6 +59,7 @@ func Suite(intervals int) []Bench {
 		{"cache/miss-evict", BenchCacheMissEvict},
 		{"queue/push-pop", BenchQueuePushPop},
 		{"queue/merge", BenchQueueMerge},
+		{"workload/zipf-next", BenchZipfNext},
 		{"matrix/serial", func(b *testing.B) { BenchMatrixSerial(b, intervals) }},
 		{"shard/volumes4-serial", func(b *testing.B) { BenchShard(b, intervals, 4, 1) }},
 		{"shard/volumes4-parallel", func(b *testing.B) { BenchShard(b, intervals, 4, 0) }},
@@ -242,6 +243,20 @@ func BenchQueueMerge(b *testing.B) {
 		q.Push(r, 0)
 	}
 }
+
+// BenchZipfNext measures one address-rank draw at the tpcc working-set
+// geometry (144 Ki blocks, exponent 0.85): the per-request sample of the
+// workload-generation layer.
+func BenchZipfNext(b *testing.B) {
+	z := sim.NewZipf(sim.NewRNG(1, "bench"), 144*1024, 0.85)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		zipfSink += z.Next()
+	}
+}
+
+var zipfSink int
 
 // BenchShard runs one tpcc/LBICA array of the given width end to end
 // (0 = paper scale): the shard-scaling measurement behind

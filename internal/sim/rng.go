@@ -2,7 +2,6 @@ package sim
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
 )
 
@@ -103,57 +102,10 @@ func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Zipf draws from a Zipf-like distribution over [0,n) with exponent s>1
-// using inverse-CDF sampling over the harmonic weights. Used for cache-
-// friendly locality in workload address streams. The generator precomputes
-// nothing; for hot paths prefer NewZipf.
+// Zipf draws one rank from a Zipf-like distribution over [0,n) with
+// exponent s, using the shared rank table NewZipf memoises per (n, s).
+// Each call still allocates a Zipfian; hot paths should hold one from
+// NewZipf.
 func (g *RNG) Zipf(n int, s float64) int {
-	z := NewZipf(g, n, s)
-	return z.Next()
-}
-
-// Zipfian samples ranks 0..n-1 with probability proportional to
-// 1/(rank+1)^s. Rank 0 is the hottest.
-type Zipfian struct {
-	g   *RNG
-	cdf []float64
-}
-
-// NewZipf precomputes the CDF for n ranks with exponent s (s may be any
-// positive value; s≈0 degenerates to uniform). It panics if n <= 0.
-func NewZipf(g *RNG, n int, s float64) *Zipfian {
-	if n <= 0 {
-		panic("sim: NewZipf with n <= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1.0 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipfian{g: g, cdf: cdf}
-}
-
-// WithRNG returns a Zipfian over the same precomputed CDF drawing from g —
-// the cloning hook: the CDF is immutable and safely shared, so cloning a
-// generator that owns a Zipfian is WithRNG(clonedRNG).
-func (z *Zipfian) WithRNG(g *RNG) *Zipfian { return &Zipfian{g: g, cdf: z.cdf} }
-
-// Next draws a rank.
-func (z *Zipfian) Next() int {
-	u := z.g.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return NewZipf(g, n, s).Next()
 }
