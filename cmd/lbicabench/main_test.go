@@ -160,65 +160,49 @@ func TestRunPerfCheck(t *testing.T) {
 }
 
 // -perf-check takes a comma-separated baseline list, checking each in
-// turn, and understands the before/after narrative schema
-// (BENCH_hotpath.json): the "after" measurements are the gated numbers.
-func TestRunPerfCheckMultiBaselineAndNarrative(t *testing.T) {
+// turn; a regression in any listed baseline fails the whole gate, and a
+// file that is not a perf report is rejected rather than gating nothing.
+func TestRunPerfCheckMultiBaseline(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, data string) string {
+	write := func(name string, data []byte) string {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	rep, err := json.Marshal(perf.Report{Intervals: 1, Results: []perf.Result{
-		{Name: "kernel/schedule-cancel", NsPerOp: 1e9, AllocsPerOp: 1 << 20},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := write("report.json", string(rep))
-	narrative := write("narrative.json", `{
-		"benchmark": "hot-path overhaul",
-		"command": "lbicabench -perf",
-		"results": {
-			"kernel/schedule-fire": {
-				"before": {"ns_per_op": 1, "allocs_per_op": 1},
-				"after": {"ns_per_op": 1e9, "allocs_per_op": 1048576},
-				"speedup": 1.0
-			}
+	report := func(name string, r perf.Result) string {
+		t.Helper()
+		data, err := json.Marshal(perf.Report{Intervals: 1, Results: []perf.Result{r}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}`)
+		return write(name, data)
+	}
+	cancel := report("cancel.json", perf.Result{Name: "kernel/schedule-cancel", NsPerOp: 1e9, AllocsPerOp: 1 << 20})
+	fire := report("fire.json", perf.Result{Name: "kernel/schedule-fire", NsPerOp: 1e9, AllocsPerOp: 1 << 20})
 
 	var out, errBuf strings.Builder
-	if err := run(t.Context(), []string{"-perf-check", report + "," + narrative}, &out, &errBuf); err != nil {
+	if err := run(t.Context(), []string{"-perf-check", cancel + "," + fire}, &out, &errBuf); err != nil {
 		t.Fatalf("generous baseline list failed: %v (stderr: %s)", err, errBuf.String())
 	}
 	if got := strings.Count(errBuf.String(), "within tolerance"); got != 2 {
 		t.Errorf("want 2 pass verdicts (one per baseline), got %d:\n%s", got, errBuf.String())
 	}
 
-	// A regression in any listed baseline fails the whole gate — the
-	// narrative's unreachable "after" must breach even though the report
-	// baseline passes.
-	regressed := write("regressed.json", `{
-		"results": {
-			"kernel/schedule-fire": {
-				"before": {"ns_per_op": 1, "allocs_per_op": 1},
-				"after": {"ns_per_op": 1e-6, "allocs_per_op": 0}
-			}
-		}
-	}`)
+	// The second baseline's unreachable numbers must breach even though
+	// the first passes.
+	regressed := report("regressed.json", perf.Result{Name: "kernel/schedule-fire", NsPerOp: 1e-6})
 	errBuf.Reset()
-	if err := run(t.Context(), []string{"-perf-check", report + "," + regressed}, &out, &errBuf); err == nil {
-		t.Fatal("regressed narrative baseline passed the multi-baseline gate")
+	if err := run(t.Context(), []string{"-perf-check", cancel + "," + regressed}, &out, &errBuf); err == nil {
+		t.Fatal("regressed baseline passed the multi-baseline gate")
 	}
 
-	// A narrative entry without an after-measurement is malformed.
-	noAfter := write("no_after.json", `{"results": {"kernel/schedule-fire": {"before": {"ns_per_op": 1}}}}`)
-	if err := run(t.Context(), []string{"-perf-check", noAfter}, &out, &errBuf); err == nil {
-		t.Error("narrative baseline without after-measurements passed")
+	// The retired before/after narrative schema is not a perf report.
+	narrative := write("narrative.json", []byte(`{"results": {"kernel/schedule-fire": {"after": {"ns_per_op": 1e9}}}}`))
+	if err := run(t.Context(), []string{"-perf-check", narrative}, &out, &errBuf); err == nil {
+		t.Error("before/after narrative baseline passed")
 	}
 }
 

@@ -102,6 +102,7 @@ func ParsePolicy(s string) (Policy, error) {
 type Router struct {
 	n      int
 	policy Policy
+	skew   float64
 	rng    *sim.RNG
 	zipf   *sim.Zipfian // Zipf volume-popularity sampler over rng
 }
@@ -113,13 +114,18 @@ func NewRouter(seed int64, n int, policy Policy, skew float64) *Router {
 	if n < 1 {
 		n = 1
 	}
-	r := &Router{n: n, policy: policy}
+	var rng *sim.RNG
 	switch policy {
 	case Uniform, Zipf:
-		r.rng = sim.NewRNG(seed, "array:router")
+		rng = sim.NewRNG(seed, "array:router")
 	}
+	return newRouter(n, policy, skew, rng)
+}
+
+func newRouter(n int, policy Policy, skew float64, rng *sim.RNG) *Router {
+	r := &Router{n: n, policy: policy, skew: skew, rng: rng}
 	if policy == Zipf {
-		r.zipf = sim.NewZipf(r.rng, n, skew)
+		r.zipf = sim.NewZipf(rng, n, skew)
 	}
 	return r
 }
@@ -144,22 +150,6 @@ func (r *Router) Route(req workload.Request) int {
 	}
 }
 
-// Clone deep-copies the router mid-stream: the copy's RNG resumes at the
-// original's exact draw position, so the clone keeps making the same
-// decisions the original would have — the property an array fork needs to
-// stay byte-identical to a from-scratch run. The Zipf sampler is
-// re-bound to the cloned stream; its rank table is immutable and shared.
-func (r *Router) Clone() *Router {
-	r2 := *r
-	if r.rng != nil {
-		r2.rng = r.rng.Clone()
-	}
-	if r.zipf != nil {
-		r2.zipf = r.zipf.WithRNG(r2.rng)
-	}
-	return &r2
-}
-
 // RouteBlock is the Hash policy's pure routing function on a 4 KiB block
 // number — exposed so affine prewarm filtering can ask "could this block
 // ever be routed here?" without synthesizing a request.
@@ -182,18 +172,17 @@ func (r *Router) RouteBlock(block int64) int {
 // route here, overfetched by the array width so the volume still fills
 // its quota.
 //
-// The returned generator implements workload.CloneableGenerator whenever
-// the base stream does: cloning copies the base stream and the router at
-// their exact mid-stream positions, so engine.Stack.Fork can deep-copy a
-// statically routed volume and the fork replays the identical sub-stream.
+// The returned generator implements workload.Rebuildable whenever the
+// base stream does, so engine.Stack.Fork can copy a statically routed
+// volume and the fork replays the identical sub-stream.
 func VolumeGen(gen workload.Generator, rt *Router, vol int) workload.Generator {
 	return newVolumeGen(gen, rt, vol)
 }
 
 // volumeGen is VolumeGen's concrete type: a Filter over the base stream
 // whose predicate closes over a private router copy, plus the handles
-// (base generator, router, volume index) CloneGenerator needs to rebuild
-// the same wiring around cloned state.
+// (base generator, router, volume index) Rebuild needs to rebuild the
+// same wiring.
 type volumeGen struct {
 	inner workload.Generator
 	rt    *Router
@@ -220,16 +209,21 @@ func (g *volumeGen) Next() (workload.Request, bool) { return g.f.Next() }
 // HotBlocks forwards the filtered prewarm set.
 func (g *volumeGen) HotBlocks(n int) []int64 { return g.f.HotBlocks(n) }
 
-// CloneGenerator implements workload.CloneableGenerator when the base
-// stream does (nil otherwise, the interface's "cannot fork" signal).
-func (g *volumeGen) CloneGenerator() workload.Generator {
-	cg, ok := g.inner.(workload.CloneableGenerator)
+// Rebuild implements workload.Rebuildable when the base stream does
+// (nil otherwise). The router restarts its stream too.
+func (g *volumeGen) Rebuild() workload.Generator {
+	rg, ok := g.inner.(workload.Rebuildable)
 	if !ok {
 		return nil
 	}
-	inner2 := cg.CloneGenerator()
-	if inner2 == nil {
+	inner := rg.Rebuild()
+	if inner == nil {
 		return nil
 	}
-	return newVolumeGen(inner2, g.rt.Clone(), g.vol)
+	rt := g.rt
+	var rng *sim.RNG
+	if rt.rng != nil {
+		rng = rt.rng.Rewound()
+	}
+	return newVolumeGen(inner, newRouter(rt.n, rt.policy, rt.skew, rng), g.vol)
 }

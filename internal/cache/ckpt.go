@@ -7,8 +7,7 @@ import "lbica/internal/ckpt"
 // the Random-replacement xorshift state. Geometry (cfg, ways, setMask)
 // is excluded — it is a pure function of the configuration the restoring
 // side rebuilds from, and the array lengths cross-check it on decode.
-// The victims scratch buffer is transient per Access call and skipped,
-// exactly as Clone drops it.
+// The victims scratch buffer is transient per Access call and skipped.
 func (c *Cache) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("cache.Cache")
 	enc.U8(uint8(c.policy))
@@ -44,13 +43,13 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 		d.Failf("cache line count %d differs from geometry %d", n, len(c.tags))
 		return
 	}
-	tags := make([]int64, n)
-	for i := range tags {
-		tags[i] = d.I64()
+	// The arrays are overwritten in place: a failed decode leaves the
+	// cache partially restored, and the stack is discarded anyway.
+	for i := range c.tags {
+		c.tags[i] = d.I64()
 	}
-	meta := make([]lineMeta, n)
-	for i := range meta {
-		meta[i] = lineMeta{
+	for i := range c.meta {
+		c.meta[i] = lineMeta{
 			epoch:    d.U64(),
 			lastUse:  d.U64(),
 			loadedAt: d.U64(),
@@ -72,8 +71,6 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 		return
 	}
 	c.policy = policy
-	c.tags = tags
-	c.meta = meta
 	c.tick = tick
 	c.dirty = dirty
 	c.valid = valid

@@ -31,7 +31,7 @@ import (
 // whenever any layer's wire encoding changes (the per-package EncodeState
 // bodies, the completer payloads, or this container) so stale caches read
 // as misses instead of corrupt state.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic identifies a checkpoint container file.
 const magic = "LBICACK1"
@@ -53,10 +53,24 @@ func EncodeStack(st *engine.Stack) ([]byte, error) {
 
 // DecodeStack restores one checkpoint payload onto a freshly built,
 // not-yet-started stack (see engine.Stack.DecodeState for the contract).
-// The stack must be discarded on error.
+// The stack must run the checkpointed scheme. The stack must be
+// discarded on error.
 func DecodeStack(ctx context.Context, st *engine.Stack, payload []byte) error {
+	return decode(payload, func(d *ckpt.Decoder) { st.DecodeState(ctx, d) })
+}
+
+// DecodeStackDropBalancer restores a payload checkpointed under any
+// scheme onto a freshly built balancer-less (WB) stack, stepping over the
+// balancer state (see engine.Stack.DecodeStateDropBalancer). Valid only
+// while the checkpointed balancer had not acted; the warm planner guards
+// that with engine.Stack.BalancerActed on the leader.
+func DecodeStackDropBalancer(ctx context.Context, st *engine.Stack, payload []byte) error {
+	return decode(payload, func(d *ckpt.Decoder) { st.DecodeStateDropBalancer(ctx, d) })
+}
+
+func decode(payload []byte, body func(*ckpt.Decoder)) error {
 	d := ckpt.NewDecoder(payload)
-	st.DecodeState(ctx, d)
+	body(d)
 	if err := d.Err(); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,4 +198,33 @@ func TestRestoreDropBalancerFork(t *testing.T) {
 	mustEqual(t, f.Collect(), runScratch(wbSpec), "WB fork off restored leader")
 	restored.Drain()
 	mustEqual(t, restored.Collect(), runScratch(lbSpec), "restored LBICA leader")
+}
+
+// The public decoder stays strict even though the balancer section is
+// skippable: an LBICA checkpoint restored onto a WB-built or a SIB-built
+// stack must fail, not silently drop or reinterpret the balancer state.
+func TestDecodeStackRejectsSchemeMismatch(t *testing.T) {
+	ctx := context.Background()
+	lbSpec := ckptSpec(experiments.WorkloadTPCC, experiments.SchemeLBICA)
+	payload := warmPayload(t, lbSpec, 2*lbSpec.Interval)
+	for _, scheme := range []string{experiments.SchemeWB, experiments.SchemeSIB} {
+		st := buildStack(ckptSpec(experiments.WorkloadTPCC, scheme))
+		err := checkpoint.DecodeStack(ctx, st, payload)
+		if err == nil || !strings.Contains(err.Error(), "scheme") {
+			t.Errorf("LBICA checkpoint onto a %s stack: err %v, want a scheme mismatch", scheme, err)
+		}
+	}
+}
+
+// Dropping the balancer on restore is only possible while it owns no
+// pending event: SIB's scan periodic is always armed, so a SIB
+// checkpoint cannot become a WB stack.
+func TestDecodeStackDropBalancerRefusesPendingPeriodic(t *testing.T) {
+	sibSpec := ckptSpec(experiments.WorkloadTPCC, experiments.SchemeSIB)
+	payload := warmPayload(t, sibSpec, 2*sibSpec.Interval)
+	st := buildStack(ckptSpec(experiments.WorkloadTPCC, experiments.SchemeWB))
+	err := checkpoint.DecodeStackDropBalancer(context.Background(), st, payload)
+	if err == nil || !strings.Contains(err.Error(), "periodic") {
+		t.Errorf("SIB checkpoint dropped onto a WB stack: err %v, want a pending-periodic failure", err)
+	}
 }

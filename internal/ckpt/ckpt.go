@@ -3,12 +3,13 @@
 // Encoder/Decoder that serialize the shared request/completer graph a
 // warmed stack holds in flight.
 //
-// The codec mirrors the fork machinery (internal/engine/fork.go) exactly:
-// where a fork deep-copies via block.Cloner — memoized requests, completer
-// CloneFor dispatch, an Env map from components to their clone-side
-// counterparts — the encoder writes memo references, kind-tagged completer
-// payloads, and small component ids, and the decoder replays them against
-// a freshly built stack. Decoding is strictly two-phase for completers
+// The codec is the simulator's only way to copy mid-run state: a
+// persistent checkpoint, a warm-cache restore and an in-process
+// engine.Stack.Fork all encode the stack and decode it onto a freshly
+// built one. The encoder writes memo references for shared requests and
+// completers, kind-tagged completer payloads, and small component ids
+// for cross-component pointers; the decoder replays them against the
+// fresh stack. Decoding is strictly two-phase for completers
 // (allocate a placeholder, memoize it, then fill), which is what lets the
 // request graph's cycles (an in-flight application op is the completer of
 // its own legs) round-trip.
@@ -76,6 +77,15 @@ func (w *Writer) Duration(d time.Duration) { w.I64(int64(d)) }
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
+}
+
+// Block writes whatever body writes behind a u32 length prefix, so a
+// reader can skip the body (Reader.SkipBlock) without understanding it.
+func (w *Writer) Block(body func()) {
+	at := len(w.buf)
+	w.U32(0)
+	body()
+	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 }
 
 // Reader consumes a payload written by Writer. The first failed read sets
@@ -171,6 +181,27 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
+// Block reads a body written by Writer.Block through body and fails
+// unless body consumed exactly the prefixed length.
+func (r *Reader) Block(body func()) {
+	n := int(r.U32())
+	if r.err != nil {
+		return
+	}
+	if n > r.Remaining() {
+		r.Failf("truncated block: need %d bytes, have %d", n, r.Remaining())
+		return
+	}
+	end := r.off + n
+	body()
+	if r.err == nil && r.off != end {
+		r.Failf("block length %d, body consumed %d", n, n-(end-r.off))
+	}
+}
+
+// SkipBlock steps over a body written by Writer.Block.
+func (r *Reader) SkipBlock() { r.take(int(r.U32())) }
+
 // Count reads a u32 element count and validates it against the remaining
 // input assuming each element occupies at least elemSize bytes — the
 // guard that keeps a hostile length prefix from driving an unbounded
@@ -257,8 +288,7 @@ type StateCodec interface {
 
 // EncodableCompleter is a completion callback the codec can serialize:
 // it names its registered kind and writes its payload. Every completer
-// the engine or queue layer installs implements it, mirroring
-// block.ForkableCompleter.
+// the engine or queue layer installs implements it.
 type EncodableCompleter interface {
 	block.Completer
 	CkptKind() string
@@ -268,7 +298,7 @@ type EncodableCompleter interface {
 // Request encodes a request reference: nil, a memo back-reference, or —
 // on first encounter — the request's fields followed by its completion
 // callback. Shared requests (a queue node and a server's in-flight op
-// pointing at the same request) round-trip to a single shared clone.
+// pointing at the same request) round-trip to a single shared copy.
 func (e *Encoder) Request(r *block.Request) {
 	if r == nil {
 		e.U32(0)

@@ -308,17 +308,8 @@ func (l *LBICA) Attach(st *engine.Stack) {
 	st.Monitor().OnClose(l.onSample)
 }
 
-// ForkFor implements engine.ForkableBalancer: the classifier state
-// (burst runs, arming, group, EWMA, counter snapshots) is all plain
-// values, so the clone is a struct copy re-pointed at the forked stack.
-// Unlike Attach it sets no policy — the forked cache already carries
-// whatever policy this balancer last applied.
-func (l *LBICA) ForkFor(st *engine.Stack) engine.Balancer {
-	l2 := *l
-	l2.st = st
-	st.Monitor().OnClose(l2.onSample)
-	return &l2
-}
+// Rebuild implements engine.RebuildableBalancer.
+func (l *LBICA) Rebuild() engine.Balancer { return New(l.cfg) }
 
 func (l *LBICA) onSample(s iostat.Sample) {
 	l.demandEWMA.Add(l.demandUtil(s))

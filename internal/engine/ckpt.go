@@ -1,14 +1,23 @@
 // Stack checkpointing: serialize a mid-run stack to bytes and restore it
-// onto a freshly built stack of the same configuration. The codec is the
-// persistent twin of Fork (fork.go): where Fork deep-copies live state
-// into a sibling process-local stack, EncodeState writes the exact same
-// state set to the wire — engine arena, cache, queues with their
-// in-flight request graphs, device servers, monitor, balancer, generator
-// — and DecodeState replays it in place, rebinding the event chains the
-// way Fork does. The determinism contract carries over verbatim: a
-// restored stack, run to completion, produces byte-identical Results to
-// the stack that was checkpointed (and therefore to an uninterrupted
-// from-scratch run).
+// onto a freshly built stack of the same configuration. This is the one
+// mechanism that copies mid-run state — persistent checkpoints, warm-cache
+// restores and Fork (fork.go) all go through it. EncodeState writes the
+// complete state set — engine arena, cache, queues with their in-flight
+// request graphs, device servers, monitor, balancer, generator — and
+// DecodeState replays it in place, rebinding every pending event chain
+// onto the fresh stack's callbacks.
+//
+// Determinism contract: a restored stack, run to completion, produces
+// byte-identical Results to the stack that was checkpointed (and
+// therefore to an uninterrupted from-scratch run). The guarantee is
+// structural: the event arena is restored slot for slot (same times,
+// sequence numbers and generations, so the firing order is identical by
+// construction), every RNG resumes at its exact draw position, and the
+// request graph is rebuilt with each completer re-bound to the fresh
+// stack. State the codec does not know — a generator, balancer or
+// in-flight completer without checkpoint support, a pending event no
+// owner claims — fails the encode or decode rather than producing a
+// silently divergent copy.
 package engine
 
 import (
@@ -111,9 +120,9 @@ func (op *wbCompleter) CkptKind() string { return "engine.wbCompleter" }
 func (op *wbCompleter) EncodeCkpt(e *ckpt.Encoder) { (*evictOp)(op).encodePayload(e) }
 
 // EncodeState serializes the complete stack. It fails (sticky encoder
-// error, stack untouched) in exactly the cases Fork refuses: a traced
-// run, a generator or balancer without checkpoint support, or an
-// in-flight completer the codec does not know.
+// error, stack untouched) on a traced run, a generator or balancer
+// without checkpoint support, or an in-flight completer the codec does
+// not know.
 func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("engine.Stack")
 	if st.rec != trace.Discard {
@@ -175,6 +184,8 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 	st.ssd.EncodeState(enc)
 	st.hdd.EncodeState(enc)
 
+	// The balancer's own state is a length-prefixed block, so a restore
+	// that drops the balancer (DecodeStateDropBalancer) can step over it.
 	enc.Section("engine.balancer")
 	enc.String(st.schemeName())
 	enc.Bool(st.bal != nil)
@@ -184,7 +195,7 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 			enc.Failf("engine: balancer %q is not checkpointable", st.bal.Name())
 			return
 		}
-		bc.EncodeState(enc)
+		enc.Block(func() { bc.EncodeState(enc) })
 	}
 	enc.U32(uint32(len(st.periodics)))
 	for i := range st.periodics {
@@ -207,6 +218,25 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 // ctx provides the cooperative-cancellation channel Start would have
 // installed; nil means background.
 func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
+	st.decodeState(ctx, d, false)
+}
+
+// DecodeStateDropBalancer restores a checkpoint taken under any scheme
+// onto a freshly built balancer-less (WB) stack, stepping over the
+// balancer's state. The result is a valid WB run only while the
+// checkpointed balancer had not yet influenced it (BalancerActed false on
+// the source); callers guard that, the decoder cannot tell. A balancer
+// periodic still pending in the checkpoint fails the restore: the WB
+// stack has no task to own it.
+func (st *Stack) DecodeStateDropBalancer(ctx context.Context, d *ckpt.Decoder) {
+	if st.bal != nil {
+		d.Failf("engine: dropping the balancer needs a balancer-less stack, this one runs %q", st.bal.Name())
+		return
+	}
+	st.decodeState(ctx, d, true)
+}
+
+func (st *Stack) decodeState(ctx context.Context, d *ckpt.Decoder, dropBal bool) {
 	d.Section("engine.Stack")
 	if st.rec != trace.Discard {
 		d.Failf("engine: cannot restore onto a traced stack")
@@ -286,8 +316,7 @@ func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	st.pumpReq.Extent.Sectors = d.I64()
 	st.pumpStopped = d.Bool()
 
-	// Rebind the self-rescheduling chains onto the restored arena, the
-	// same claim pass Fork runs on a clone.
+	// Rebind the self-rescheduling chains onto the restored arena.
 	st.ctxDone = ctx.Done()
 	st.bindChainFns()
 	rebind := func(fn func(), what string) sim.Event {
@@ -325,21 +354,34 @@ func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if scheme != st.schemeName() || hasBal != (st.bal != nil) {
+	switch {
+	case dropBal:
+		if hasBal {
+			d.SkipBlock()
+		}
+	case scheme != st.schemeName() || hasBal != (st.bal != nil):
 		d.Failf("engine: checkpoint is for scheme %q, stack runs %q", scheme, st.schemeName())
 		return
-	}
-	if st.bal != nil {
+	case st.bal != nil:
 		bc, ok := st.bal.(ckpt.StateCodec)
 		if !ok {
 			d.Failf("engine: balancer %q is not checkpointable", st.bal.Name())
 			return
 		}
-		bc.DecodeState(d)
+		d.Block(func() { bc.DecodeState(d) })
 	}
 	nPer := d.Count(9)
 	if d.Err() != nil {
 		return
+	}
+	if dropBal {
+		for i := 0; i < nPer; i++ {
+			d.Duration()
+			if _, pending := st.eng.DecodeEvent(d); pending {
+				d.Failf("engine: dropped balancer has periodic %d pending", i)
+			}
+		}
+		nPer = 0
 	}
 	if nPer != len(st.periodics) {
 		d.Failf("engine: checkpoint has %d balancer periodics, stack registered %d", nPer, len(st.periodics))
@@ -370,8 +412,8 @@ func (st *Stack) DecodeState(ctx context.Context, d *ckpt.Decoder) {
 	st.freeAppOps = nil
 	st.freeEvictOps = nil
 
-	// Every pending event must have found its owner above — the same
-	// closing invariant Fork enforces on a clone.
+	// Every pending event must have found its owner above; an unclaimed
+	// one would silently vanish from the restored run's future.
 	if n := st.eng.UnboundEvents(); n > 0 {
 		d.Failf("engine: %d pending events were not rebound after restore", n)
 	}

@@ -352,8 +352,7 @@ func (s Spec) newVolumeStack(cfg engine.Config, acfg array.Config, vol int) *eng
 }
 
 // newControlled assembles the ARRAY-LB controlled array for a normalized
-// spec — shared by RunContext and the fork property tests, so a forked
-// controller faces exactly the volumes a scratch run builds.
+// spec.
 func newControlled(ctx context.Context, spec Spec, cfg engine.Config) (*array.Controlled, error) {
 	variant, _ := array.ParseVariant(spec.RouteVariant) // validated in Normalize
 	ccfg := array.ControllerConfig{

@@ -118,8 +118,10 @@ func TestForkDropBalancerIsWBBaseline(t *testing.T) {
 	}
 }
 
-// TestForkSnapshot drives the Snapshot wrapper: branch twice off one
-// inert snapshot, each branch equal to the uninterrupted run.
+// TestForkSnapshot holds forks as inert snapshots: branch twice off one
+// leader, let the leader drain first, then drain each branch — every
+// branch must equal the uninterrupted run, untouched by the leader's and
+// by each other's progress.
 func TestForkSnapshot(t *testing.T) {
 	ctx := context.Background()
 	spec := forkSpec(WorkloadTPCC, SchemeLBICA)
@@ -128,18 +130,17 @@ func TestForkSnapshot(t *testing.T) {
 	leader := buildStack(spec)
 	leader.Start(ctx, spec.Intervals)
 	leader.StepTo(10 * spec.Interval)
-	snap, err := leader.Snapshot(ctx)
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+	var snaps []*engine.Stack
+	for i := 0; i < 2; i++ {
+		f, err := leader.Fork(ctx, nil)
+		if err != nil {
+			t.Fatalf("fork %d: %v", i, err)
+		}
+		snaps = append(snaps, f)
 	}
-	// The leader drains first: the snapshot must be unaffected.
 	leader.Drain()
 	mustEqual(t, leader.Collect(), want, "leader")
-	for i := 0; i < 2; i++ {
-		f, err := snap.Fork(ctx, nil)
-		if err != nil {
-			t.Fatalf("snapshot fork %d: %v", i, err)
-		}
+	for _, f := range snaps {
 		f.Drain()
 		mustEqual(t, f.Collect(), want, "snapshot fork")
 	}

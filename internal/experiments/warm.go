@@ -14,8 +14,8 @@ const (
 	// WarmLeader simulated the shared warmup prefix itself and then ran
 	// to completion.
 	WarmLeader = "leader"
-	// WarmForked was deep-copied from the leader at the warmup barrier
-	// and ran only the remainder.
+	// WarmForked was restored from the leader's checkpoint at the warmup
+	// barrier and ran only the remainder.
 	WarmForked = "forked"
 	// WarmScratch ran from scratch; WarmOutcome.Reason says why.
 	WarmScratch = "scratch"
@@ -40,8 +40,8 @@ const (
 	// routing at every interval barrier, so its prefix diverges from the
 	// statically routed leader's from the first barrier on.
 	WarmReasonMultiVolume = "multi-volume"
-	// WarmReasonForkError: the fork itself failed (non-cloneable
-	// generator); the member ran from scratch instead.
+	// WarmReasonForkError: the leader's state could not be checkpointed
+	// or restored onto the member; it ran from scratch instead.
 	WarmReasonForkError = "fork-error"
 )
 
@@ -53,10 +53,10 @@ type WarmOutcome struct {
 	Kind   string
 	Reason string
 	// Cache is the run's persistent-store traffic ("" without a store,
-	// and for forked members, which copy in-memory state): WarmCacheHit,
-	// WarmCacheStore, or WarmCacheCorrupt. Orthogonal to Kind — both the
-	// group leader's shared prefix and a scratch member's private one go
-	// through the store.
+	// and for forked members, which restore the leader's payload):
+	// WarmCacheHit, WarmCacheStore, or WarmCacheCorrupt. Orthogonal to
+	// Kind — both the group leader's shared prefix and a scratch
+	// member's private one go through the store.
 	Cache string
 }
 
@@ -97,18 +97,19 @@ func CanShareWarmup(specs []Spec, warmupIntervals int) bool {
 // RunWarmShared executes a group of specs that differ only by scheme,
 // simulating their common warmup prefix once: a leader (LBICA — or
 // ARRAY-LB, which at one volume is LBICA relabeled) runs to the warmup
-// barrier, each other scheme's run is forked from it there, and every
-// branch then runs to completion independently. At Volumes > 1 the
-// leader is the full statically routed array — all N volume stacks step
-// to the barrier and are forked together, atomically from the sibling's
-// point of view (no stack advances between the per-volume forks).
+// barrier, each other scheme's run is forked from it there — built fresh
+// and restored from the leader's checkpoint payload — and every branch
+// then runs to completion independently. At Volumes > 1 the leader is
+// the full statically routed array — all N volume stacks step to the
+// barrier and are checkpointed together, so a sibling restores one
+// atomic array-wide snapshot.
 // Results are returned in spec order and are byte-identical to running
 // each spec from scratch:
 //
-//   - An LBICA member (or at one volume an ARRAY-LB member) forks the
+//   - An LBICA member (or at one volume an ARRAY-LB member) restores the
 //     leader's balancer state — identical by construction, since the
 //     schemes share the same per-volume balancer and the whole prefix.
-//   - A WB member forks with the balancer dropped, valid only while no
+//   - A WB member restores with the balancer dropped, valid only while no
 //     leader balancer has observably acted (engine.BalancerActed); a
 //     balancer that already bypassed or switched policy means the
 //     prefixes diverged, and the WB cell falls back to a scratch run.
@@ -124,83 +125,43 @@ func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*e
 	return RunWarmSharedCached(ctx, specs, warmupIntervals, nil)
 }
 
-// runWarmSingle is the single-stack warm plan: one leader stack (from
-// the checkpoint store when possible), one fork per sharing sibling, and
-// a store-backed private prefix for every member the fork planner must
-// exclude (runMemberCached).
-func runWarmSingle(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
-	cfg := spec.engineConfig()
-	leaders, lcache := prepareWarmStacks(ctx, spec, SchemeLBICA, warmupIntervals, store, func() []*engine.Stack {
-		return []*engine.Stack{engine.New(cfg, NewGenerator(spec), NewBalancerWithThresholds(SchemeLBICA, spec.Thresholds))}
-	})
-	leader := leaders[0]
-
-	finish := func(st *engine.Stack, s Spec) *engine.Results {
-		st.Drain()
-		res := st.Collect()
-		res.Workload = s.Workload
-		if s.Scheme == SchemeArrayLB {
-			res.Scheme = SchemeArrayLB
-		}
-		return res
-	}
-
-	for i, s := range specs {
-		if i == leaderIdx {
-			continue
-		}
-		switch s.Scheme {
-		case SchemeWB:
-			if leader.BalancerActed() {
-				out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonBalancerActed)
-				continue
-			}
-			if f, err := leader.Fork(ctx, engine.DropBalancer); err == nil {
-				out[i] = finish(f, s)
-				plan[i] = WarmOutcome{Kind: WarmForked}
-				continue
-			}
-			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonForkError)
-		case SchemeLBICA, SchemeArrayLB:
-			if f, err := leader.Fork(ctx, nil); err == nil {
-				out[i] = finish(f, s)
-				plan[i] = WarmOutcome{Kind: WarmForked}
-				continue
-			}
-			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonForkError)
-		default:
-			out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, WarmReasonSIB)
-		}
-	}
-	out[leaderIdx] = finish(leader, specs[leaderIdx])
-	plan[leaderIdx] = WarmOutcome{Kind: WarmLeader, Cache: lcache}
-}
-
-// runWarmArray is the multi-volume warm plan: the leader is the full
-// statically routed LBICA array. All N volume stacks (wired exactly as
-// RunContext wires them, via newVolumeStack, or restored together from
-// one store entry) step to the warmup barrier; a sharing sibling forks
-// every volume there before any stack advances further, so the sibling
-// sees one atomic array-wide snapshot.
-func runWarmArray(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
+// runWarm is the warm plan for one group: the leader stands at the
+// warmup barrier — one stack, or at Volumes > 1 the full statically
+// routed LBICA array, all N volume stacks wired exactly as RunContext
+// wires them — either restored from the checkpoint store or simulated.
+// Each sharing sibling is built fresh and restored from the leader's
+// payload, so it sees one atomic array-wide snapshot; every member the
+// planner must exclude runs a store-backed private prefix
+// (runMemberCached).
+func runWarm(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
 	cfg := spec.engineConfig()
 	acfg := spec.arrayConfig()
-	stacks, lcache := prepareWarmStacks(ctx, spec, SchemeLBICA, warmupIntervals, store, func() []*engine.Stack {
-		sts := make([]*engine.Stack, spec.Volumes)
-		for v := range sts {
-			sts[v] = spec.newVolumeStack(cfg, acfg, v)
-		}
-		return sts
-	})
-	acted := false
-	for _, st := range stacks {
-		if st.BalancerActed() {
-			acted = true
-			break
+	build := func(scheme string) func() []*engine.Stack {
+		return func() []*engine.Stack {
+			if spec.Volumes <= 1 {
+				return []*engine.Stack{engine.New(cfg, NewGenerator(spec), NewBalancerWithThresholds(scheme, spec.Thresholds))}
+			}
+			vs := spec
+			vs.Scheme = scheme
+			sts := make([]*engine.Stack, spec.Volumes)
+			for v := range sts {
+				sts[v] = vs.newVolumeStack(cfg, acfg, v)
+			}
+			return sts
 		}
 	}
-
+	// finish runs a member's stacks to completion and collects its
+	// results: one stack's directly, a multi-volume array's merged.
 	finish := func(sts []*engine.Stack, s Spec) *engine.Results {
+		if len(sts) == 1 {
+			sts[0].Drain()
+			res := sts[0].Collect()
+			res.Workload = s.Workload
+			if s.Scheme == SchemeArrayLB {
+				res.Scheme = SchemeArrayLB
+			}
+			return res
+		}
 		per := make([]*engine.Results, len(sts))
 		for v, st := range sts {
 			st.Drain()
@@ -219,52 +180,60 @@ func runWarmArray(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmu
 		return merged
 	}
 
-	forkAll := func(balFor func(*engine.Stack) engine.Balancer) ([]*engine.Stack, error) {
-		forked := make([]*engine.Stack, len(stacks))
-		for v, st := range stacks {
-			f, err := st.Fork(ctx, balFor)
-			if err != nil {
-				return nil, err
-			}
-			forked[v] = f
-		}
-		return forked, nil
+	leaders, payloads, lcache := prepareWarmStacks(ctx, spec, SchemeLBICA, warmupIntervals, store, build(SchemeLBICA))
+	acted := false
+	for _, st := range leaders {
+		acted = acted || st.BalancerActed()
 	}
 
+	// The payload is dropped with the last restore, before that sibling
+	// runs: it is as large as the cache.
+	restores := 0
+	for i, s := range specs {
+		if _, reason := siblingPlan(s, acted, spec.Volumes); i != leaderIdx && reason == "" {
+			restores++
+		}
+	}
 	for i, s := range specs {
 		if i == leaderIdx {
 			continue
 		}
-		switch s.Scheme {
-		case SchemeWB:
-			if acted {
-				out[i] = RunContext(ctx, s)
-				plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonBalancerActed}
-				continue
+		scheme, reason := siblingPlan(s, acted, spec.Volumes)
+		if reason == "" {
+			decode := checkpoint.DecodeStack
+			if scheme == SchemeWB {
+				decode = checkpoint.DecodeStackDropBalancer
 			}
-			if forked, err := forkAll(engine.DropBalancer); err == nil {
-				out[i] = finish(forked, s)
+			sts, err := restoreStacks(ctx, payloads, build(scheme), decode)
+			if restores--; restores == 0 {
+				payloads = nil
+			}
+			if err == nil {
+				out[i] = finish(sts, s)
 				plan[i] = WarmOutcome{Kind: WarmForked}
 				continue
 			}
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonForkError}
-		case SchemeLBICA:
-			if forked, err := forkAll(nil); err == nil {
-				out[i] = finish(forked, s)
-				plan[i] = WarmOutcome{Kind: WarmForked}
-				continue
-			}
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonForkError}
-		case SchemeArrayLB:
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonMultiVolume}
-		default:
-			out[i] = RunContext(ctx, s)
-			plan[i] = WarmOutcome{Kind: WarmScratch, Reason: WarmReasonSIB}
+			reason = WarmReasonForkError
 		}
+		out[i], plan[i] = runMemberCached(ctx, s, warmupIntervals, store, reason)
 	}
-	out[leaderIdx] = finish(stacks, specs[leaderIdx])
+	out[leaderIdx] = finish(leaders, specs[leaderIdx])
 	plan[leaderIdx] = WarmOutcome{Kind: WarmLeader, Cache: lcache}
+}
+
+// siblingPlan says how a non-leader group member runs: restored from the
+// leader's payload onto a stack built for scheme, or — when reason is
+// set — from scratch.
+func siblingPlan(s Spec, acted bool, volumes int) (scheme, reason string) {
+	switch {
+	case s.Scheme == SchemeWB && acted:
+		return "", WarmReasonBalancerActed
+	case s.Scheme == SchemeWB:
+		return SchemeWB, ""
+	case s.Scheme == SchemeLBICA, s.Scheme == SchemeArrayLB && volumes <= 1:
+		return SchemeLBICA, ""
+	case s.Scheme == SchemeArrayLB:
+		return "", WarmReasonMultiVolume
+	}
+	return "", WarmReasonSIB
 }

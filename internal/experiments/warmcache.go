@@ -51,16 +51,18 @@ func warmCacheKey(spec Spec, scheme string, warmupIntervals int) string {
 		warmupIntervals)
 }
 
-// prepareWarmStacks produces stacks standing at the warmup barrier,
-// consulting the store first when one is given. build must return freshly
-// constructed, not-yet-started stacks (one per volume); the scratch path
-// starts them and steps them to the barrier, the hit path restores them
-// in place. Restore failures of any kind fall back to the scratch path
-// and overwrite the entry. The returned annotation is the run's cache
-// traffic (WarmOutcome.Cache): WarmCacheHit, WarmCacheStore,
-// WarmCacheCorrupt, or "" when the store held nothing usable and the
-// publish failed too (or there is no store at all).
-func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store, build func() []*engine.Stack) ([]*engine.Stack, string) {
+// prepareWarmStacks produces stacks standing at the warmup barrier and
+// their checkpoint payloads, consulting the store first when one is
+// given. build must return freshly constructed, not-yet-started stacks
+// (one per volume); the hit path restores the loaded payloads onto them,
+// the scratch path starts them, steps them to the barrier and encodes
+// them. Restore failures of any kind fall back to the scratch path and
+// overwrite the entry. The payloads are nil when the stacks cannot be
+// checkpointed. The returned annotation is the run's cache traffic
+// (WarmOutcome.Cache): WarmCacheHit, WarmCacheStore, WarmCacheCorrupt, or
+// "" when the store held nothing usable and the publish failed too (or
+// there is no store at all).
+func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store, build func() []*engine.Stack) ([]*engine.Stack, [][]byte, string) {
 	corrupt := false
 	var key string
 	if store != nil {
@@ -70,22 +72,10 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 		case err != nil:
 			corrupt = true
 		case payloads != nil:
-			stacks := build()
-			if len(payloads) != len(stacks) {
-				corrupt = true
-				break
+			if stacks, err := restoreStacks(ctx, payloads, build, checkpoint.DecodeStack); err == nil {
+				return stacks, payloads, WarmCacheHit
 			}
-			ok := true
-			for v, st := range stacks {
-				if err := checkpoint.DecodeStack(ctx, st, payloads[v]); err != nil {
-					corrupt = true
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return stacks, WarmCacheHit
-			}
+			corrupt = true
 		}
 	}
 
@@ -100,25 +90,40 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 	for _, st := range stacks {
 		st.StepTo(barrier)
 	}
-	if store != nil {
-		payloads := make([][]byte, len(stacks))
-		ok := true
-		for v, st := range stacks {
-			p, err := checkpoint.EncodeStack(st)
-			if err != nil {
-				ok = false
-				break
-			}
-			payloads[v] = p
+	payloads := make([][]byte, len(stacks))
+	for v, st := range stacks {
+		p, err := checkpoint.EncodeStack(st)
+		if err != nil {
+			return stacks, nil, ""
 		}
-		if ok && store.Save(key, payloads) == nil {
-			if corrupt {
-				return stacks, WarmCacheCorrupt
-			}
-			return stacks, WarmCacheStore
+		payloads[v] = p
+	}
+	if store != nil && store.Save(key, payloads) == nil {
+		if corrupt {
+			return stacks, payloads, WarmCacheCorrupt
+		}
+		return stacks, payloads, WarmCacheStore
+	}
+	return stacks, payloads, ""
+}
+
+// restoreStacks builds fresh stacks and restores one payload onto each
+// through decode — the one restore path shared by store hits and by
+// siblings copied off a group leader.
+func restoreStacks(ctx context.Context, payloads [][]byte, build func() []*engine.Stack, decode func(context.Context, *engine.Stack, []byte) error) ([]*engine.Stack, error) {
+	if payloads == nil {
+		return nil, fmt.Errorf("experiments: no checkpoint to restore")
+	}
+	stacks := build()
+	if len(payloads) != len(stacks) {
+		return nil, fmt.Errorf("experiments: %d checkpoint payloads for %d stacks", len(payloads), len(stacks))
+	}
+	for v, st := range stacks {
+		if err := decode(ctx, st, payloads[v]); err != nil {
+			return nil, err
 		}
 	}
-	return stacks, ""
+	return stacks, nil
 }
 
 // runMemberCached runs one scratch member — a run that cannot reuse its
@@ -140,7 +145,7 @@ func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *ch
 		return RunContext(ctx, s), o
 	}
 	cfg := ns.engineConfig()
-	stacks, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, func() []*engine.Stack {
+	stacks, _, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, func() []*engine.Stack {
 		return []*engine.Stack{engine.New(cfg, NewGenerator(ns), NewBalancerWithThresholds(ns.Scheme, ns.Thresholds))}
 	})
 	o.Cache = cache
@@ -176,11 +181,6 @@ func RunWarmSharedCached(ctx context.Context, specs []Spec, warmupIntervals int,
 		}
 		return out, plan
 	}
-	spec := specs[leaderIdx].Normalize()
-	if spec.Volumes <= 1 {
-		runWarmSingle(ctx, specs, spec, leaderIdx, warmupIntervals, store, out, plan)
-	} else {
-		runWarmArray(ctx, specs, spec, leaderIdx, warmupIntervals, store, out, plan)
-	}
+	runWarm(ctx, specs, specs[leaderIdx].Normalize(), leaderIdx, warmupIntervals, store, out, plan)
 	return out, plan
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"testing"
 
@@ -186,5 +187,37 @@ func TestWarmCacheKeySeparatesSpecs(t *testing.T) {
 	arr.Scheme = SchemeArrayLB
 	if k := warmCacheKey(arr, SchemeLBICA, 10); k != baseKey {
 		t.Error("spec scheme leaked into the cache key")
+	}
+}
+
+// Siblings of a cache-hit leader restore from the payload the store
+// loaded, not from a live stack: a WB member (balancer dropped on
+// restore) and, on a 3-volume statically routed array, every volume of
+// the WB and LBICA members must still finish byte-identical to
+// from-scratch runs.
+func TestRunWarmSharedCachedHitSiblingsMatchScratch(t *testing.T) {
+	ctx := context.Background()
+	const warmup, intervals = 10, 40
+	for _, volumes := range []int{1, 3} {
+		skew := 0.0
+		if volumes > 1 {
+			skew = 1.2
+		}
+		specs := warmGroup("mail", volumes, skew, intervals)
+		leaderIdx := leaderOf(t, specs, warmup)
+		store := openStore(t)
+		if _, plan := RunWarmSharedCached(ctx, specs, warmup, store); plan[leaderIdx].Cache != WarmCacheStore {
+			t.Fatalf("%d volumes: seed run leader outcome %+v", volumes, plan[leaderIdx])
+		}
+		got, plan := RunWarmSharedCached(ctx, specs, warmup, store)
+		if plan[leaderIdx] != (WarmOutcome{Kind: WarmLeader, Cache: WarmCacheHit}) {
+			t.Fatalf("%d volumes: leader outcome %+v, want leader/cache-hit", volumes, plan[leaderIdx])
+		}
+		for i, s := range specs {
+			if s.Scheme == SchemeWB && plan[i].Kind != WarmForked {
+				t.Errorf("%d volumes: WB outcome %+v, want forked off the loaded payload", volumes, plan[i])
+			}
+			mustEqual(t, got[i], RunContext(ctx, s), fmt.Sprintf("%d volumes, %s", volumes, s.Scheme))
+		}
 	}
 }

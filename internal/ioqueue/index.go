@@ -111,17 +111,3 @@ func (h *mergeIndex) each(fn func(k int64, n *node)) {
 		}
 	}
 }
-
-// clone copies the index slot for slot with every node replaced by its
-// image in remap.
-func (h *mergeIndex) clone(remap map[*node]*node) mergeIndex {
-	h2 := mergeIndex{count: h.count, shift: h.shift}
-	h2.keys = append([]int64(nil), h.keys...)
-	h2.nodes = make([]*node, len(h.nodes))
-	for i, n := range h.nodes {
-		if n != nil {
-			h2.nodes[i] = remap[n]
-		}
-	}
-	return h2
-}

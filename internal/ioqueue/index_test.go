@@ -124,18 +124,3 @@ func TestMergeIndexGrowth(t *testing.T) {
 	}
 	checkIndex(t, &h, ref, -2)
 }
-
-func TestMergeIndexClone(t *testing.T) {
-	var h mergeIndex
-	a, b := &node{}, &node{}
-	h.set(0, a)
-	h.set(8, b)
-	h.set(16, a)
-	a2, b2 := &node{}, &node{}
-	c := h.clone(map[*node]*node{a: a2, b: b2})
-	checkIndex(t, &c, map[int64]*node{0: a2, 8: b2, 16: a2}, 0)
-	c.deleteIf(8, b2)
-	if h.get(8) != b {
-		t.Fatal("deleting from the clone changed the original")
-	}
-}

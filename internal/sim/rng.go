@@ -17,7 +17,7 @@ type RNG struct {
 }
 
 // countingSource wraps a rand.Source and counts raw Int63 draws, which is
-// what makes RNG.Clone possible: a clone reseeds a fresh source and
+// what makes an RNG checkpointable: a restore reseeds a fresh source and
 // fast-forwards it by replaying the recorded draw count. The wrapper
 // deliberately does NOT implement rand.Source64 — rand.Rand routes every
 // method this package uses (Float64, Intn, Int63n, NormFloat64,
@@ -43,25 +43,20 @@ func (c *countingSource) Seed(seed int64) {
 func NewRNG(seed int64, name string) *RNG {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	derived := seed ^ int64(h.Sum64())
+	return newRNG(name, seed^int64(h.Sum64()))
+}
+
+// newRNG builds the stream with the given name and derived seed,
+// positioned at its first draw.
+func newRNG(name string, derived int64) *RNG {
 	src := &countingSource{src: rand.NewSource(derived)}
 	return &RNG{name: name, seed: derived, src: src, r: rand.New(src)}
 }
 
-// Clone returns an independent RNG positioned at exactly this stream's
-// current point: the clone's future draws match the original's draw for
-// draw, and advancing either side never perturbs the other. It works by
-// reseeding a fresh source with the stream's derived seed and replaying
-// the recorded raw draw count, so cloning is O(draws so far) but needs no
-// access to math/rand internals.
-func (g *RNG) Clone() *RNG {
-	src := &countingSource{src: rand.NewSource(g.seed)}
-	for i := uint64(0); i < g.src.n; i++ {
-		src.src.Int63()
-	}
-	src.n = g.src.n
-	return &RNG{name: g.name, seed: g.seed, src: src, r: rand.New(src)}
-}
+// Rewound returns a new, independent stream with this one's name and
+// seed, positioned at its first draw — the unstarted copy a rebuilt
+// component owns before a checkpoint restores its draw position.
+func (g *RNG) Rewound() *RNG { return newRNG(g.name, g.seed) }
 
 // Stream splits a base seed into the seed for run runIndex of a batch.
 // The result depends only on (seed, runIndex) — never on scheduling

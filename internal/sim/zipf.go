@@ -107,11 +107,6 @@ func NewZipf(g *RNG, n int, s float64) *Zipfian {
 	return &Zipfian{g: g, t: sharedZipfTable(n, s)}
 }
 
-// WithRNG returns a Zipfian over the same rank table drawing from g — the
-// cloning hook: cloning a generator that owns a Zipfian is
-// WithRNG(clonedRNG).
-func (z *Zipfian) WithRNG(g *RNG) *Zipfian { return &Zipfian{g: g, t: z.t} }
-
 // Next draws a rank.
 func (z *Zipfian) Next() int { return z.t.rank(z.g.Float64()) }
 

@@ -92,8 +92,8 @@ type Grid struct {
 	// the schemes of one controlled comparison — cells identical on every
 	// axis except the scheme — share a single simulated prefix of this
 	// many monitor intervals. One leader run (LBICA) executes the prefix,
-	// the sibling cells fork its complete state at the barrier
-	// (engine.Fork: engine, cache, queues, devices, RNG positions), and
+	// the sibling cells restore its complete state at the barrier from
+	// its checkpoint (engine, cache, queues, devices, RNG positions), and
 	// every branch runs to completion independently. Results are
 	// byte-identical to the default from-scratch execution; cells that
 	// cannot share (multi-volume arrays, SIB, groups without a forkable
@@ -518,8 +518,8 @@ type Result struct {
 // regression to 0% sharing is visible instead of a silent slowdown.
 type WarmStats struct {
 	// Leaders ran (or restored) the shared warmup prefix themselves;
-	// Forked reused a leader's prefix via a deep-copy fork; Scratch ran
-	// from scratch.
+	// Forked reused a leader's prefix by restoring its checkpoint;
+	// Scratch ran from scratch.
 	Leaders int
 	Forked  int
 	Scratch int

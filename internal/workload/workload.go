@@ -37,13 +37,15 @@ type Generator interface {
 	Next() (r Request, ok bool)
 }
 
-// CloneableGenerator is a Generator whose mid-stream state can be
-// deep-copied for a forked run. CloneGenerator must return a generator
-// that emits exactly the sequence the original would emit from this point
-// on, without disturbing the original.
-type CloneableGenerator interface {
+// Rebuildable is a Generator that can build an unstarted instance of
+// itself: same configuration, fresh RNG streams at their first draw, no
+// state shared with the original. Rebuild returns nil when it cannot
+// (a wrapper over a generator that is not Rebuildable). A stack fork
+// restores the mid-stream position into the rebuilt instance through
+// the checkpoint codec.
+type Rebuildable interface {
 	Generator
-	CloneGenerator() Generator
+	Rebuild() Generator
 }
 
 // Phase is one segment of a workload schedule.
@@ -208,20 +210,10 @@ func (p *PhaseGen) HotBlocks(n int) []int64 {
 	return out
 }
 
-// CloneGenerator implements CloneableGenerator. The phase schedule is
-// shared (immutable after construction); the RNG and the lazily built
-// Zipf distributions are re-bound to a cloned RNG so the copy's draw
-// stream continues exactly where the original's stands.
-func (p *PhaseGen) CloneGenerator() Generator {
-	p2 := *p
-	p2.g = p.g.Clone()
-	if p.zipf != nil {
-		p2.zipf = p.zipf.WithRNG(p2.g)
-	}
-	if p.wzipf != nil {
-		p2.wzipf = p.wzipf.WithRNG(p2.g)
-	}
-	return &p2
+// Rebuild implements Rebuildable. The phase schedule is shared
+// (immutable after construction).
+func (p *PhaseGen) Rebuild() Generator {
+	return NewPhaseGen(p.name, p.phases, p.g.Rewound())
 }
 
 // rate returns the arrival rate in effect at the cursor, advancing the
@@ -326,12 +318,9 @@ func NewReplay(name string, reqs []Request) *Replay {
 // Name implements Generator.
 func (r *Replay) Name() string { return r.name }
 
-// CloneGenerator implements CloneableGenerator; the recorded stream is
-// shared read-only, only the position is per-copy.
-func (r *Replay) CloneGenerator() Generator {
-	r2 := *r
-	return &r2
-}
+// Rebuild implements Rebuildable; the recorded stream is shared
+// read-only.
+func (r *Replay) Rebuild() Generator { return NewReplay(r.name, r.reqs) }
 
 // Next implements Generator.
 func (r *Replay) Next() (Request, bool) {
@@ -378,19 +367,17 @@ func NewLimit(inner Generator, n int) *Limit { return &Limit{inner: inner, left:
 // Name implements Generator.
 func (l *Limit) Name() string { return l.inner.Name() }
 
-// CloneGenerator implements CloneableGenerator when the inner generator
-// is itself cloneable; it returns nil otherwise (callers treat nil as
-// "cannot fork").
-func (l *Limit) CloneGenerator() Generator {
-	cg, ok := l.inner.(CloneableGenerator)
+// Rebuild implements Rebuildable when the inner generator does.
+func (l *Limit) Rebuild() Generator {
+	rg, ok := l.inner.(Rebuildable)
 	if !ok {
 		return nil
 	}
-	inner2 := cg.CloneGenerator()
-	if inner2 == nil {
+	inner := rg.Rebuild()
+	if inner == nil {
 		return nil
 	}
-	return &Limit{inner: inner2, left: l.left}
+	return NewLimit(inner, l.left)
 }
 
 // Next implements Generator.

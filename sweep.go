@@ -182,7 +182,7 @@ type SweepResult struct {
 // SweepWarmStats counts a warm-fork sweep's per-run plan outcomes.
 type SweepWarmStats struct {
 	// Leaders ran the shared warmup prefix themselves; Forked reused a
-	// leader's prefix via a deep-copy state fork; Scratch ran from
+	// leader's prefix by restoring its checkpoint; Scratch ran from
 	// scratch.
 	Leaders int
 	Forked  int
