@@ -74,8 +74,9 @@ func checkpointable(o Options) error {
 
 // buildSingleStack assembles the single-volume stack for normalized
 // options, exactly as RunContext's single-stack path wires it (minus
-// trace/record plumbing, which checkpointable rejects).
-func buildSingleStack(o Options) (*engine.Stack, error) {
+// trace/record plumbing, which checkpointable rejects). A restore target
+// skips the prewarm: the checkpoint overwrites the cache.
+func buildSingleStack(o Options, restore bool) (*engine.Stack, error) {
 	gen, err := buildWorkload(o, nil)
 	if err != nil {
 		return nil, err
@@ -87,6 +88,9 @@ func buildSingleStack(o Options) (*engine.Stack, error) {
 	cfg, err := buildEngineConfig(o, initial)
 	if err != nil {
 		return nil, err
+	}
+	if restore {
+		cfg = cfg.ForRestore()
 	}
 	return engine.New(cfg, gen, bal), nil
 }
@@ -123,7 +127,7 @@ func RunCheckpoint(ctx context.Context, o Options, path string, saveAt int) (*Re
 	if saveAt >= o.Intervals {
 		return nil, fmt.Errorf("lbica: checkpoint interval %d is not strictly before the run's %d intervals", saveAt, o.Intervals)
 	}
-	st, err := buildSingleStack(o)
+	st, err := buildSingleStack(o, false)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +171,7 @@ func RunRestore(ctx context.Context, o Options, path string) (*Report, error) {
 	if len(payloads) != 1 {
 		return nil, fmt.Errorf("lbica: checkpoint %s holds %d stacks; single-run restore needs exactly 1", path, len(payloads))
 	}
-	st, err := buildSingleStack(o)
+	st, err := buildSingleStack(o, true)
 	if err != nil {
 		return nil, err
 	}

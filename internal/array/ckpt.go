@@ -2,7 +2,7 @@ package array
 
 import "lbica/internal/ckpt"
 
-// EncodeState serializes the router's mutable state — the draw position
+// EncodeState serializes the router's mutable state — the register
 // of its dedicated "array:router" stream. Width, policy, and the Zipf
 // CDF are immutable configuration the restoring side rebuilds from; they
 // are written only as cross-checks.

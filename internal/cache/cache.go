@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"lbica/internal/block"
@@ -235,6 +236,12 @@ type Cache struct {
 	valid   int
 	stats   Stats
 	rndSt   uint64 // xorshift state for Random replacement
+	// flushCand holds one bit per line: a superset of the lines
+	// CollectDirty may pick (valid, dirty, not flushing). Only markDirty
+	// makes a line eligible, so only markDirty sets a bit; CollectDirty
+	// clears every bit it visits, picked or stale. DecodeState rebuilds
+	// it from the line metadata.
+	flushCand []uint64
 	// victims is the scratch buffer Decision.Victims aliases; it is valid
 	// until the next Access/Prewarm call and reused to keep the hot path
 	// allocation-free.
@@ -258,6 +265,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, policy: cfg.InitialPolicy, ways: cfg.Ways, rndSt: uint64(cfg.ReplacementSeed)*2654435761 + 0x9e3779b97f4a7c15}
 	c.tags = make([]int64, cfg.Sets*cfg.Ways)
 	c.meta = make([]lineMeta, cfg.Sets*cfg.Ways)
+	c.flushCand = make([]uint64, (len(c.tags)+63)/64)
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
@@ -459,6 +467,7 @@ func (c *Cache) markDirty(i int) {
 	}
 	m.flushing = false
 	m.epoch++
+	c.flushCand[i>>6] |= 1 << (i & 63)
 }
 
 // Access applies the current policy to one application request and returns
@@ -612,10 +621,12 @@ type DirtyBlock struct {
 	Epoch uint64
 }
 
-// CollectDirty picks up to max dirty, non-flushing lines (oldest first
-// within each set scan) and marks them flushing. The engine issues an SSD
-// read (Evict) + HDD write (Writeback) per block and calls MarkClean when
-// the writeback completes.
+// CollectDirty picks the first max dirty, non-flushing lines in line
+// order and marks them flushing. The engine issues an SSD read (Evict) +
+// HDD write (Writeback) per block and calls MarkClean when the writeback
+// completes. Only lines whose flushCand bit is set are visited, in line
+// order, which picks the same lines as a scan of every line: no line
+// outside the candidate set is eligible.
 func (c *Cache) CollectDirty(max int) []DirtyBlock {
 	if max <= 0 {
 		return nil
@@ -624,14 +635,19 @@ func (c *Cache) CollectDirty(max int) []DirtyBlock {
 		return nil
 	}
 	out := make([]DirtyBlock, 0, max)
-	for i, tag := range c.tags {
-		m := &c.meta[i]
-		if tag >= 0 && m.dirty && !m.flushing {
-			m.flushing = true
-			c.stats.FlushesStarted++
-			out = append(out, DirtyBlock{Block: tag, Epoch: m.epoch})
-			if len(out) == max {
-				return out
+	for w, cand := range c.flushCand {
+		for ; cand != 0; cand &= cand - 1 {
+			b := bits.TrailingZeros64(cand)
+			c.flushCand[w] &^= 1 << b
+			i := w<<6 | b
+			m := &c.meta[i]
+			if c.tags[i] >= 0 && m.dirty && !m.flushing {
+				m.flushing = true
+				c.stats.FlushesStarted++
+				out = append(out, DirtyBlock{Block: c.tags[i], Epoch: m.epoch})
+				if len(out) == max {
+					return out
+				}
 			}
 		}
 	}

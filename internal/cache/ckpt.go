@@ -7,7 +7,8 @@ import "lbica/internal/ckpt"
 // the Random-replacement xorshift state. Geometry (cfg, ways, setMask)
 // is excluded — it is a pure function of the configuration the restoring
 // side rebuilds from, and the array lengths cross-check it on decode.
-// The victims scratch buffer is transient per Access call and skipped.
+// The victims scratch buffer is transient per Access call and skipped, as
+// is the CollectDirty candidate set, which DecodeState rebuilds.
 func (c *Cache) EncodeState(enc *ckpt.Encoder) {
 	enc.Section("cache.Cache")
 	enc.U8(uint8(c.policy))
@@ -77,6 +78,12 @@ func (c *Cache) DecodeState(d *ckpt.Decoder) {
 	c.rndSt = rndSt
 	c.stats = stats
 	c.victims = nil
+	clear(c.flushCand)
+	for i, m := range c.meta {
+		if c.tags[i] >= 0 && m.dirty && !m.flushing {
+			c.flushCand[i>>6] |= 1 << (i & 63)
+		}
+	}
 }
 
 // EncodeState serializes the counter block.

@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lbica/internal/block"
+	"lbica/internal/ckpt"
 )
 
 func TestBlockGeometryHelpers(t *testing.T) {
@@ -91,5 +94,93 @@ func TestNegativeLBAHandled(t *testing.T) {
 		// A negative block lands in a set by absolute value; invariants
 		// may flag the set mismatch — either way, no panic is the contract.
 		_ = err
+	}
+}
+
+// collectDirtyFullScan is CollectDirty without the candidate set: the
+// first max dirty, non-flushing lines from line 0.
+func collectDirtyFullScan(c *Cache, max int) []DirtyBlock {
+	if max <= 0 || c.dirty == 0 {
+		return nil
+	}
+	out := make([]DirtyBlock, 0, max)
+	for i, tag := range c.tags {
+		m := &c.meta[i]
+		if tag >= 0 && m.dirty && !m.flushing {
+			m.flushing = true
+			c.stats.FlushesStarted++
+			out = append(out, DirtyBlock{Block: tag, Epoch: m.epoch})
+			if len(out) == max {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// CollectDirty's candidate-set scan must pick exactly the lines a full
+// scan from line 0 picks, over random interleavings of every operation that
+// changes a line's dirty or flushing state — including a checkpoint
+// round trip, which rebuilds the candidate set.
+func TestCollectDirtyMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{BlockSectors: 8, Sets: 16, Ways: 4}
+		got, want := New(cfg), New(cfg)
+		var inFlight []DirtyBlock
+		for step := 0; step < 4000; step++ {
+			e := block.Extent{LBA: rng.Int63n(200) * 8, Sectors: 8 * (1 + rng.Int63n(3))}
+			switch op := rng.Intn(20); {
+			case op < 6:
+				got.Access(block.Write, e, 0)
+				want.Access(block.Write, e, 0)
+			case op < 9:
+				got.Access(block.Read, e, 0)
+				want.Access(block.Read, e, 0)
+			case op < 12:
+				max := 1 + rng.Intn(6)
+				a, b := got.CollectDirty(max), collectDirtyFullScan(want, max)
+				if !slices.Equal(a, b) {
+					t.Fatalf("seed %d step %d: CollectDirty(%d) = %v, full scan %v", seed, step, max, a, b)
+				}
+				inFlight = append(inFlight, a...)
+			case op < 15 && len(inFlight) > 0:
+				k := rng.Intn(len(inFlight))
+				db := inFlight[k]
+				inFlight = append(inFlight[:k], inFlight[k+1:]...)
+				got.MarkClean(db.Block, db.Epoch)
+				want.MarkClean(db.Block, db.Epoch)
+			case op < 16:
+				got.Invalidate(e)
+				want.Invalidate(e)
+			case op < 17:
+				b := e.LBA / 8
+				if a, w := got.ExtractClean(b), want.ExtractClean(b); a != w {
+					t.Fatalf("seed %d step %d: ExtractClean(%d) = %v, want %v", seed, step, b, a, w)
+				}
+			case op < 18:
+				p := []Policy{WB, WT, RO, WO}[rng.Intn(4)]
+				got.SetPolicy(p)
+				want.SetPolicy(p)
+			case op < 19:
+				enc := ckpt.NewEncoder()
+				got.EncodeState(enc)
+				back := New(cfg)
+				d := ckpt.NewDecoder(enc.Data())
+				back.DecodeState(d)
+				if err := d.Err(); err != nil {
+					t.Fatal(err)
+				}
+				got = back
+			}
+			if !slices.Equal(got.tags, want.tags) || !slices.Equal(got.meta, want.meta) || got.Stats() != want.Stats() {
+				t.Fatalf("seed %d step %d: caches diverged", seed, step)
+			}
+			for i, m := range got.meta {
+				if got.tags[i] >= 0 && m.dirty && !m.flushing && got.flushCand[i>>6]&(1<<(i&63)) == 0 {
+					t.Fatalf("seed %d step %d: eligible line %d missing from the candidate set", seed, step, i)
+				}
+			}
+		}
 	}
 }

@@ -31,7 +31,7 @@ import (
 // whenever any layer's wire encoding changes (the per-package EncodeState
 // bodies, the completer payloads, or this container) so stale caches read
 // as misses instead of corrupt state.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // magic identifies a checkpoint container file.
 const magic = "LBICACK1"
@@ -52,7 +52,8 @@ func EncodeStack(st *engine.Stack) ([]byte, error) {
 }
 
 // DecodeStack restores one checkpoint payload onto a freshly built,
-// not-yet-started stack (see engine.Stack.DecodeState for the contract).
+// not-yet-started stack, which need not be prewarmed (see
+// engine.Stack.DecodeState for the contract).
 // The stack must run the checkpointed scheme. The stack must be
 // discarded on error.
 func DecodeStack(ctx context.Context, st *engine.Stack, payload []byte) error {

@@ -11,6 +11,7 @@ import (
 	"lbica/internal/checkpoint"
 	"lbica/internal/engine"
 	"lbica/internal/experiments"
+	"lbica/internal/workload"
 )
 
 func ckptSpec(wl, scheme string) experiments.Spec {
@@ -226,5 +227,65 @@ func TestDecodeStackDropBalancerRefusesPendingPeriodic(t *testing.T) {
 	err := checkpoint.DecodeStackDropBalancer(context.Background(), st, payload)
 	if err == nil || !strings.Contains(err.Error(), "periodic") {
 		t.Errorf("SIB checkpoint dropped onto a WB stack: err %v, want a pending-periodic failure", err)
+	}
+}
+
+// hotCounter wraps a paper workload and counts HotBlocks calls — the
+// prewarm's only entry into the generator.
+type hotCounter struct {
+	*workload.PhaseGen
+	calls *int
+}
+
+func (h hotCounter) HotBlocks(n int) []int64 {
+	*h.calls++
+	return h.PhaseGen.HotBlocks(n)
+}
+
+func (h hotCounter) Rebuild() workload.Generator {
+	return hotCounter{h.PhaseGen.Rebuild().(*workload.PhaseGen), h.calls}
+}
+
+// A restore target is built without the prewarm: neither Fork nor a
+// DecodeStack onto a Config.ForRestore stack asks the generator for its
+// hot set, and both still finish byte-identical to a scratch run.
+func TestRestoreSkipsPrewarm(t *testing.T) {
+	ctx := context.Background()
+	spec := ckptSpec(experiments.WorkloadTPCC, experiments.SchemeLBICA)
+	cfg := engine.DefaultConfig()
+	cfg.Seed = spec.Seed
+	cfg.MonitorEvery = spec.Interval
+	calls := 0
+	build := func(cfg engine.Config) *engine.Stack {
+		gen := hotCounter{experiments.NewGenerator(spec).(*workload.PhaseGen), &calls}
+		return engine.New(cfg, gen, experiments.NewBalancerWithThresholds(spec.Scheme, spec.Thresholds))
+	}
+	leader := build(cfg)
+	if calls != 1 {
+		t.Fatalf("fresh stack asked for the hot set %d times, want 1", calls)
+	}
+	leader.Start(ctx, spec.Intervals)
+	leader.StepTo(3 * spec.Interval)
+	payload, err := checkpoint.EncodeStack(leader)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	calls = 0
+	fork, err := leader.Fork(ctx, nil)
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	restored := build(cfg.ForRestore())
+	if err := checkpoint.DecodeStack(ctx, restored, payload); err != nil {
+		t.Fatalf("DecodeStack: %v", err)
+	}
+	if calls != 0 {
+		t.Fatalf("Fork and DecodeStack asked for the hot set %d times, want 0", calls)
+	}
+	want := runScratch(spec)
+	for name, st := range map[string]*engine.Stack{"fork": fork, "restore": restored, "leader": leader} {
+		st.Drain()
+		mustEqual(t, st.Collect(), want, name)
 	}
 }

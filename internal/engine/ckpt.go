@@ -12,7 +12,7 @@
 // therefore to an uninterrupted from-scratch run). The guarantee is
 // structural: the event arena is restored slot for slot (same times,
 // sequence numbers and generations, so the firing order is identical by
-// construction), every RNG resumes at its exact draw position, and the
+// construction), every RNG resumes from its exact register, and the
 // request graph is rebuilt with each completer re-bound to the fresh
 // stack. State the codec does not know — a generator, balancer or
 // in-flight completer without checkpoint support, a pending event no
@@ -210,9 +210,11 @@ func (st *Stack) EncodeState(enc *ckpt.Encoder) {
 
 // DecodeState restores a checkpoint onto this freshly built stack —
 // same Config, same generator construction, same balancer scheme; New
-// must have run but not Start. On success the stack is mid-run exactly
-// where the checkpointed one was: StepTo/Drain/Collect/Fork all continue
-// from the restored state. On failure the decoder carries the error and
+// must have run but not Start. The target need not be prewarmed
+// (Config.ForRestore drops the prewarm): the cache is restored
+// wholesale. On success the stack is mid-run exactly where the
+// checkpointed one was: StepTo/Drain/Collect/Fork all continue from the
+// restored state. On failure the decoder carries the error and
 // the stack must be discarded (it may be partially overwritten).
 //
 // ctx provides the cooperative-cancellation channel Start would have

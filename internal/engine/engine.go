@@ -63,6 +63,8 @@ type Config struct {
 
 	// PrewarmBlocks preloads this many of the workload's hottest blocks
 	// (clean) before the run, honoring the paper's warm-cache assumption.
+	// A stack built as a checkpoint restore target skips it (ForRestore):
+	// DecodeState overwrites the cache wholesale.
 	PrewarmBlocks int
 
 	// DetectOnPeak makes the monitor compare Eq. 1 on within-interval
@@ -109,6 +111,15 @@ func DefaultConfig() Config {
 		FlushBatch:    16,
 		PrewarmBlocks: cc.Sets * cc.Ways,
 	}
+}
+
+// ForRestore returns the configuration for a stack a checkpoint will be
+// restored onto: the same stack without the prewarm, whose cache contents
+// DecodeState would overwrite anyway. A restore then costs the size of the
+// state, not the work of building a cache it throws away.
+func (c Config) ForRestore() Config {
+	c.PrewarmBlocks = 0
+	return c
 }
 
 // PolicyChange is one balancer decision, for the Fig. 6 timeline.

@@ -33,7 +33,9 @@ func DropBalancer(*Stack) Balancer { return nil }
 // exact state — virtual clock, pending events, queued and in-flight
 // requests, cache contents, RNG positions, accumulated statistics — and
 // running it to completion yields byte-identical Results to an
-// uninterrupted from-scratch run.
+// uninterrupted from-scratch run. The copy is built without the prewarm
+// (Config.ForRestore) and restored through the checkpoint codec, so a
+// fork costs the size of the state, not the length of the prefix.
 //
 // balFor is nil, keeping the original's scheme (which must be a
 // RebuildableBalancer), or DropBalancer, installing none (the WB
@@ -68,7 +70,7 @@ func (st *Stack) Fork(ctx context.Context, balFor func(*Stack) Balancer) (*Stack
 	if gen == nil {
 		return nil, fmt.Errorf("engine: generator %q cannot be rebuilt", st.gen.Name())
 	}
-	f := New(st.cfg, gen, bal)
+	f := New(st.cfg.ForRestore(), gen, bal)
 	d := ckpt.NewDecoder(enc.Data())
 	if drop {
 		f.DecodeStateDropBalancer(ctx, d)

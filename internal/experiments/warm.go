@@ -136,8 +136,12 @@ func RunWarmShared(ctx context.Context, specs []Spec, warmupIntervals int) ([]*e
 func runWarm(ctx context.Context, specs []Spec, spec Spec, leaderIdx, warmupIntervals int, store *checkpoint.Store, out []*engine.Results, plan []WarmOutcome) {
 	cfg := spec.engineConfig()
 	acfg := spec.arrayConfig()
-	build := func(scheme string) func() []*engine.Stack {
-		return func() []*engine.Stack {
+	build := func(scheme string) func(restore bool) []*engine.Stack {
+		return func(restore bool) []*engine.Stack {
+			cfg := cfg
+			if restore {
+				cfg = cfg.ForRestore()
+			}
 			if spec.Volumes <= 1 {
 				return []*engine.Stack{engine.New(cfg, NewGenerator(spec), NewBalancerWithThresholds(scheme, spec.Thresholds))}
 			}

@@ -54,15 +54,16 @@ func warmCacheKey(spec Spec, scheme string, warmupIntervals int) string {
 // prepareWarmStacks produces stacks standing at the warmup barrier and
 // their checkpoint payloads, consulting the store first when one is
 // given. build must return freshly constructed, not-yet-started stacks
-// (one per volume); the hit path restores the loaded payloads onto them,
-// the scratch path starts them, steps them to the barrier and encodes
+// (one per volume), built without the prewarm when restore is set; the
+// hit path restores the loaded payloads onto such stacks, the scratch
+// path starts prewarmed ones, steps them to the barrier and encodes
 // them. Restore failures of any kind fall back to the scratch path and
 // overwrite the entry. The payloads are nil when the stacks cannot be
 // checkpointed. The returned annotation is the run's cache traffic
 // (WarmOutcome.Cache): WarmCacheHit, WarmCacheStore, WarmCacheCorrupt, or
 // "" when the store held nothing usable and the publish failed too (or
 // there is no store at all).
-func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store, build func() []*engine.Stack) ([]*engine.Stack, [][]byte, string) {
+func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupIntervals int, store *checkpoint.Store, build func(restore bool) []*engine.Stack) ([]*engine.Stack, [][]byte, string) {
 	corrupt := false
 	var key string
 	if store != nil {
@@ -82,7 +83,7 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 	// Scratch: simulate the prefix, then publish it for the next
 	// invocation. A failed encode or write leaves the run untouched —
 	// the cache is strictly an accelerator.
-	stacks := build()
+	stacks := build(false)
 	barrier := time.Duration(warmupIntervals) * spec.Interval
 	for _, st := range stacks {
 		st.Start(ctx, spec.Intervals)
@@ -107,14 +108,14 @@ func prepareWarmStacks(ctx context.Context, spec Spec, scheme string, warmupInte
 	return stacks, payloads, ""
 }
 
-// restoreStacks builds fresh stacks and restores one payload onto each
-// through decode — the one restore path shared by store hits and by
-// siblings copied off a group leader.
-func restoreStacks(ctx context.Context, payloads [][]byte, build func() []*engine.Stack, decode func(context.Context, *engine.Stack, []byte) error) ([]*engine.Stack, error) {
+// restoreStacks builds fresh, unprewarmed stacks and restores one payload
+// onto each through decode — the one restore path shared by store hits
+// and by siblings copied off a group leader.
+func restoreStacks(ctx context.Context, payloads [][]byte, build func(restore bool) []*engine.Stack, decode func(context.Context, *engine.Stack, []byte) error) ([]*engine.Stack, error) {
 	if payloads == nil {
 		return nil, fmt.Errorf("experiments: no checkpoint to restore")
 	}
-	stacks := build()
+	stacks := build(true)
 	if len(payloads) != len(stacks) {
 		return nil, fmt.Errorf("experiments: %d checkpoint payloads for %d stacks", len(payloads), len(stacks))
 	}
@@ -145,7 +146,11 @@ func runMemberCached(ctx context.Context, s Spec, warmupIntervals int, store *ch
 		return RunContext(ctx, s), o
 	}
 	cfg := ns.engineConfig()
-	stacks, _, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, func() []*engine.Stack {
+	stacks, _, cache := prepareWarmStacks(ctx, ns, ns.Scheme, warmupIntervals, store, func(restore bool) []*engine.Stack {
+		cfg := cfg
+		if restore {
+			cfg = cfg.ForRestore()
+		}
 		return []*engine.Stack{engine.New(cfg, NewGenerator(ns), NewBalancerWithThresholds(ns.Scheme, ns.Thresholds))}
 	})
 	o.Cache = cache

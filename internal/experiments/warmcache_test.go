@@ -4,9 +4,13 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lbica/internal/checkpoint"
+	"lbica/internal/sim"
+	"lbica/internal/workload"
 )
 
 func openStore(t *testing.T) *checkpoint.Store {
@@ -218,6 +222,73 @@ func TestRunWarmSharedCachedHitSiblingsMatchScratch(t *testing.T) {
 				t.Errorf("%d volumes: WB outcome %+v, want forked off the loaded payload", volumes, plan[i])
 			}
 			mustEqual(t, got[i], RunContext(ctx, s), fmt.Sprintf("%d volumes, %s", volumes, s.Scheme))
+		}
+	}
+}
+
+// hotCountCalls counts HotBlocks calls on the hotCountWorkload generator.
+var hotCountCalls atomic.Int64
+
+const hotCountWorkload = "test-hotcount-mail"
+
+// hotCounter wraps the mail workload and counts HotBlocks calls — the
+// prewarm's only entry into the generator.
+type hotCounter struct{ *workload.PhaseGen }
+
+func (h hotCounter) HotBlocks(n int) []int64 {
+	hotCountCalls.Add(1)
+	return h.PhaseGen.HotBlocks(n)
+}
+
+var registerHotCount = sync.OnceValue(func() error {
+	mail, err := workload.Default.Resolve(WorkloadMail)
+	if err != nil {
+		return err
+	}
+	return workload.Default.Register(hotCountWorkload, func(s workload.Scale, g *sim.RNG) workload.Generator {
+		return hotCounter{mail(s, g).(*workload.PhaseGen)}
+	})
+})
+
+// The warm planner restores store hits and siblings onto stacks built
+// without the prewarm, single- and multi-volume: only the stacks that
+// simulate a prefix ask the generator for its hot set, one call per
+// volume, and every member still matches its scratch run.
+func TestWarmRestoresSkipPrewarm(t *testing.T) {
+	if err := registerHotCount(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const warmup, intervals = 10, 40
+	for _, volumes := range []int{1, 2} {
+		var specs []Spec
+		for _, s := range warmGroup(hotCountWorkload, volumes, 0, intervals) {
+			if volumes == 1 || s.Scheme == SchemeWB || s.Scheme == SchemeLBICA {
+				specs = append(specs, s)
+			}
+		}
+		store := openStore(t)
+		for pass := 1; pass <= 2; pass++ {
+			hotCountCalls.Store(0)
+			got, plan := RunWarmSharedCached(ctx, specs, warmup, store)
+			calls := hotCountCalls.Load()
+			want := int64(0)
+			for i, o := range plan {
+				if o.Kind != WarmForked && o.Cache != WarmCacheHit {
+					want += int64(volumes)
+				} else if pass == 1 && o.Kind != WarmForked {
+					t.Fatalf("%d volumes: first pass %s outcome %+v restored from an empty store", volumes, specs[i].Scheme, o)
+				}
+				if pass == 2 && o.Kind != WarmForked && o.Cache != WarmCacheHit {
+					t.Errorf("%d volumes: second pass %s outcome %+v, want a fork or a cache hit", volumes, specs[i].Scheme, o)
+				}
+			}
+			if calls != want {
+				t.Errorf("%d volumes, pass %d: %d HotBlocks calls, want %d (plan %+v)", volumes, pass, calls, want, plan)
+			}
+			for i, s := range specs {
+				mustEqual(t, got[i], RunContext(ctx, s), fmt.Sprintf("%d volumes, pass %d, %s", volumes, pass, s.Scheme))
+			}
 		}
 	}
 }

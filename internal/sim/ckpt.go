@@ -2,12 +2,6 @@ package sim
 
 import "lbica/internal/ckpt"
 
-// maxRNGReplay caps the draw count a checkpoint may ask a stream to
-// replay. Restoring an RNG is O(draws so far), so a hostile count would
-// turn decode into a CPU sink; 1<<27 raw draws (well past any real
-// warmup prefix) decode in under a second.
-const maxRNGReplay = 1 << 27
-
 // EncodeState serializes the kernel: clock, sequence counter, firing
 // count, the slot arena (generations and lifecycle states — callbacks
 // are closures and never serialized; owners re-install them through
@@ -130,22 +124,33 @@ func (e *Engine) DecodeEvent(d *ckpt.Decoder) (Event, bool) {
 }
 
 // EncodeState serializes the stream's identity and position: name,
-// derived seed, and raw draw count.
+// derived seed, and the source's tap and feed indices and register.
 func (g *RNG) EncodeState(enc *ckpt.Encoder) {
 	enc.String(g.name)
 	enc.I64(g.seed)
-	enc.U64(g.src.n)
+	enc.Int(g.src.tap)
+	enc.Int(g.src.feed)
+	for _, v := range g.src.vec {
+		enc.I64(v)
+	}
 }
 
-// DecodeState restores the stream in place by reseeding a fresh source
-// and replaying the recorded draw count. The checkpoint must name the
-// same stream with the same derived seed as the freshly built instance;
-// a mismatch means the checkpoint was written for a different
-// configuration and fails the decode.
+// DecodeState restores the stream in place by copying the recorded
+// register and indices into its source — O(state), whatever the number of
+// draws since the seed. The checkpoint must name the same stream with the
+// same derived seed as the freshly built instance; a mismatch means the
+// checkpoint was written for a different configuration and fails the
+// decode, as do indices no draw sequence can reach. On failure the stream
+// is left untouched.
 func (g *RNG) DecodeState(d *ckpt.Decoder) {
 	name := d.String()
 	seed := d.I64()
-	n := d.U64()
+	tap := d.Int()
+	feed := d.Int()
+	var vec [lfLen]int64
+	for i := range vec {
+		vec[i] = d.I64()
+	}
 	if d.Err() != nil {
 		return
 	}
@@ -153,13 +158,9 @@ func (g *RNG) DecodeState(d *ckpt.Decoder) {
 		d.Failf("rng stream mismatch: checkpoint has %q/%d, stack has %q/%d", name, seed, g.name, g.seed)
 		return
 	}
-	if n > maxRNGReplay {
-		d.Failf("rng stream %q replay count %d exceeds cap %d", name, n, uint64(maxRNGReplay))
+	if tap < 0 || tap >= lfLen || feed < 0 || feed >= lfLen || (feed-tap+lfLen)%lfLen != lfLag {
+		d.Failf("rng stream %q has corrupt indices (tap %d, feed %d)", name, tap, feed)
 		return
 	}
-	*g = *newRNG(g.name, g.seed)
-	for i := uint64(0); i < n; i++ {
-		g.src.src.Int63()
-	}
-	g.src.n = n
+	g.src.tap, g.src.feed, g.src.vec = tap, feed, vec
 }

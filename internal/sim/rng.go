@@ -12,31 +12,89 @@ import (
 type RNG struct {
 	name string
 	seed int64 // the derived (seed ^ name-hash) source seed
-	src  *countingSource
+	src  *lfSource
 	r    *rand.Rand
 }
 
-// countingSource wraps a rand.Source and counts raw Int63 draws, which is
-// what makes an RNG checkpointable: a restore reseeds a fresh source and
-// fast-forwards it by replaying the recorded draw count. The wrapper
-// deliberately does NOT implement rand.Source64 — rand.Rand routes every
-// method this package uses (Float64, Intn, Int63n, NormFloat64,
-// ExpFloat64, Perm) through src.Int63() alone, and keeping Uint64 off the
-// interface guarantees the draw counter sees every consumed value.
-type countingSource struct {
-	src rand.Source
-	n   uint64
+// Register geometry of math/rand's additive lagged-Fibonacci generator.
+const (
+	lfLen = 607
+	lfTap = 273
+	// lfLag is feed−tap (mod lfLen), an invariant of every reachable state.
+	lfLag = lfLen - lfTap
+)
+
+// lfSource is an in-package copy of math/rand's default source: the
+// additive lagged-Fibonacci recurrence over a 607-word register with tap
+// and feed indices. It produces the same stream as rand.NewSource for
+// every seed, draw for draw, and its whole state is the register and the
+// two indices — which is what makes an RNG checkpointable in O(state): a
+// restore copies them in instead of replaying the draws since the seed.
+//
+// The source deliberately does NOT implement rand.Source64: rand.Rand then
+// routes every method this package uses (Float64, Intn, Int63n,
+// NormFloat64, ExpFloat64, Perm) through Int63 alone, exactly as it did
+// over math/rand's own source wrapped behind plain rand.Source.
+type lfSource struct {
+	tap, feed int
+	vec       [lfLen]int64
 }
 
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
+// newLFSource returns the source positioned where rand.NewSource(seed)
+// starts. math/rand seeds its register from a cooked table this package
+// does not carry; instead, the first lfLen outputs of rand.NewSource(seed)
+// are the register after one full turn (each draw rewrites the word at
+// the feed index, and feed visits every index once per turn), and
+// stepping the recurrence back lfLen times from there recovers the
+// starting register.
+func newLFSource(seed int64) *lfSource {
+	ref := rand.NewSource(seed).(rand.Source64)
+	s := &lfSource{tap: 0, feed: lfLag}
+	for i := 0; i < lfLen; i++ {
+		s.step() // advances the indices; the sum is overwritten
+		s.vec[s.feed] = int64(ref.Uint64())
+	}
+	for i := 0; i < lfLen; i++ {
+		s.unstep()
+	}
+	return s
 }
 
-func (c *countingSource) Seed(seed int64) {
-	c.n = 0
-	c.src.Seed(seed)
+// step advances the indices and folds the tap word into the feed word,
+// returning the new feed word.
+func (s *lfSource) step() int64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += lfLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += lfLen
+	}
+	x := s.vec[s.feed] + s.vec[s.tap]
+	s.vec[s.feed] = x
+	return x
 }
+
+// unstep inverts step: the tap word is untouched by a step, so
+// subtracting it restores the feed word.
+func (s *lfSource) unstep() {
+	s.vec[s.feed] -= s.vec[s.tap]
+	s.tap++
+	if s.tap == lfLen {
+		s.tap = 0
+	}
+	s.feed++
+	if s.feed == lfLen {
+		s.feed = 0
+	}
+}
+
+// Int63 implements rand.Source.
+func (s *lfSource) Int63() int64 { return s.step() & (1<<63 - 1) }
+
+// Seed implements rand.Source.
+func (s *lfSource) Seed(seed int64) { *s = *newLFSource(seed) }
 
 // NewRNG derives a stream from a run seed and a component name. The same
 // (seed, name) pair always yields the same sequence.
@@ -49,13 +107,13 @@ func NewRNG(seed int64, name string) *RNG {
 // newRNG builds the stream with the given name and derived seed,
 // positioned at its first draw.
 func newRNG(name string, derived int64) *RNG {
-	src := &countingSource{src: rand.NewSource(derived)}
+	src := newLFSource(derived)
 	return &RNG{name: name, seed: derived, src: src, r: rand.New(src)}
 }
 
 // Rewound returns a new, independent stream with this one's name and
 // seed, positioned at its first draw — the unstarted copy a rebuilt
-// component owns before a checkpoint restores its draw position.
+// component owns before a checkpoint restores its register.
 func (g *RNG) Rewound() *RNG { return newRNG(g.name, g.seed) }
 
 // Stream splits a base seed into the seed for run runIndex of a batch.
